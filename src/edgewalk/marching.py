@@ -7,6 +7,23 @@ chained into polylines through shared grid edges.  Crossings are computed
 once per grid edge, so chained polylines join exactly with no duplicate
 or mismatched vertices.  Saddle cells are disambiguated by the mean of
 the four corner values.
+
+The field is sampled in a narrow band, so past a first pass over one
+node in _BLOCK**2 the cost follows the contour length rather than the
+domain area.  The grid is cut into blocks of _BLOCK by _BLOCK cells.
+The first pass evaluates the field at the block corners only; blocks
+whose corners disagree seed the band.  Each band
+block is then evaluated at every grid node it holds, and the band grows
+into each neighbouring block whose shared side carries a sign change,
+until no block is added.  Every contour piece that passes through a
+seeded block is therefore traced in full, and comes out vertex for
+vertex as a dense sampling of the whole grid would give it.
+
+The one difference from dense sampling: a contour piece that passes
+through no block with disagreeing corners is missed, such as a blob
+smaller than a block that falls between block corners, or a ring
+thinner than a block.  A lone disc of radius at least
+_BLOCK * cell / sqrt(2) always holds a block corner and is found.
 """
 
 from __future__ import annotations
@@ -16,24 +33,36 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .geometry import Domain, Point2
+from .geometry import Domain
 
-# segment end points per cell case, named by cell edge; saddle cases 5 and
-# 10 are handled separately
-_CASE_SEGMENTS: dict[int, list[tuple[str, str]]] = {
-    1: [("left", "bottom")],
-    2: [("bottom", "right")],
-    3: [("left", "right")],
-    4: [("right", "top")],
-    6: [("bottom", "top")],
-    7: [("left", "top")],
-    8: [("top", "left")],
-    9: [("bottom", "top")],
-    11: [("right", "top")],
-    12: [("left", "right")],
-    13: [("bottom", "right")],
-    14: [("left", "bottom")],
-}
+# block side in grid cells; it bounds the smallest contour piece that is
+# always found, and the corner pass evaluates about 1/_BLOCK**2 of the nodes
+_BLOCK = 4
+# grid nodes per field call in the corner pass, which bounds its memory
+_CHUNK_NODES = 1 << 18
+
+_LEFT, _BOTTOM, _RIGHT, _TOP = range(4)
+# segment end sides per cell case; rows 16 and 17 are the two ways to
+# join a saddle (cases 5 and 10), keeping the corners that match the
+# center joined; -1 pads cases with one segment
+_SEGMENTS = np.full((18, 2, 2), -1, dtype=np.int8)
+for _case, _segs in {
+    1: [(_LEFT, _BOTTOM)],
+    2: [(_BOTTOM, _RIGHT)],
+    3: [(_LEFT, _RIGHT)],
+    4: [(_RIGHT, _TOP)],
+    6: [(_BOTTOM, _TOP)],
+    7: [(_LEFT, _TOP)],
+    8: [(_TOP, _LEFT)],
+    9: [(_BOTTOM, _TOP)],
+    11: [(_RIGHT, _TOP)],
+    12: [(_LEFT, _RIGHT)],
+    13: [(_BOTTOM, _RIGHT)],
+    14: [(_LEFT, _BOTTOM)],
+    16: [(_BOTTOM, _RIGHT), (_TOP, _LEFT)],
+    17: [(_LEFT, _BOTTOM), (_RIGHT, _TOP)],
+}.items():
+    _SEGMENTS[_case, : len(_segs)] = _segs
 
 
 def node_axes(domain: Domain, cell: float) -> tuple[np.ndarray, np.ndarray]:
@@ -47,114 +76,176 @@ def node_axes(domain: Domain, cell: float) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _edge_key(side: str, i: int, j: int) -> tuple[str, int, int]:
-    if side == "bottom":
-        return ("H", i, j)
-    if side == "top":
-        return ("H", i, j + 1)
-    if side == "left":
-        return ("V", i, j)
-    return ("V", i + 1, j)
+def _field(fn, x: np.ndarray, y: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    values = np.asarray(fn(x, y), dtype=float)
+    if values.shape != shape:
+        raise InputError("field function did not broadcast to the grid shape")
+    return values
+
+
+def _corner_indices(n: int) -> np.ndarray:
+    """Node indices of the block corners along an axis of n nodes."""
+    return np.unique(np.append(np.arange(0, n, _BLOCK), n - 1))
+
+
+def _band(fn, threshold: float, xs: np.ndarray, ys: np.ndarray):
+    """Node indices and field values of every block the contours reach.
+
+    Returns ix (m, _BLOCK + 1), iy (m, _BLOCK + 1) and values
+    (m, _BLOCK + 1, _BLOCK + 1) with rows along y.  The last block along
+    an axis may be narrower; its indices repeat the final node, which
+    gives zero-width cells whose corners agree pairwise.
+    """
+    bx, by = _corner_indices(xs.size), _corner_indices(ys.size)
+    cx, cy = xs[bx], ys[by]
+    rows = max(1, _CHUNK_NODES // cx.size)
+    corners = np.vstack([
+        _field(fn, cx[None, :], cy[r : r + rows, None], (cy[r : r + rows].size, cx.size))
+        < threshold
+        for r in range(0, cy.size, rows)
+    ])
+    c = corners[:-1, :-1]
+    reached = (
+        (c != corners[:-1, 1:]) | (c != corners[1:, :-1]) | (c != corners[1:, 1:])
+    ).ravel()
+    nby, nbx = by.size - 1, bx.size - 1
+    front = np.flatnonzero(reached)
+    step = np.arange(_BLOCK + 1)
+    ix_parts, iy_parts, value_parts = [], [], []
+    while front.size:
+        bj, bi = np.divmod(front, nbx)
+        ix = np.minimum(bx[bi, None] + step, xs.size - 1)
+        iy = np.minimum(by[bj, None] + step, ys.size - 1)
+        values = _field(
+            fn, xs[ix][:, None, :], ys[iy][:, :, None], (front.size, _BLOCK + 1, _BLOCK + 1)
+        )
+        ix_parts.append(ix)
+        iy_parts.append(iy)
+        value_parts.append(values)
+        s = values < threshold
+        # a sign change along a block side is a contour crossing into the
+        # block beyond it: left, right, bottom, top
+        grow = np.concatenate([
+            front[(s[:, :-1, 0] != s[:, 1:, 0]).any(axis=1) & (bi > 0)] - 1,
+            front[(s[:, :-1, -1] != s[:, 1:, -1]).any(axis=1) & (bi < nbx - 1)] + 1,
+            front[(s[:, 0, :-1] != s[:, 0, 1:]).any(axis=1) & (bj > 0)] - nbx,
+            front[(s[:, -1, :-1] != s[:, -1, 1:]).any(axis=1) & (bj < nby - 1)] + nbx,
+        ])
+        front = np.unique(grow)
+        front = front[~reached[front]]
+        reached[front] = True
+    if not value_parts:
+        empty = np.empty((0, _BLOCK + 1), dtype=np.intp)
+        return empty, empty, np.empty((0, _BLOCK + 1, _BLOCK + 1))
+    return np.vstack(ix_parts), np.vstack(iy_parts), np.concatenate(value_parts)
+
+
+def _chains(first: list[int], second: list[int], starts: list[int]) -> list[list[int]]:
+    """Walk the crossing graph, where every node has one or two neighbours.
+
+    A chain starts at each start node not yet visited and follows the
+    first neighbour; an open chain stops at its other end, a loop stops
+    back at its start and repeats it.
+    """
+    seen = bytearray(len(first))
+    chains = []
+    for start in starts:
+        if seen[start]:
+            continue
+        seen[start] = 1
+        chain = [start]
+        prev, cur = start, first[start]
+        while True:
+            chain.append(cur)
+            if cur == start:
+                break
+            seen[cur] = 1
+            nxt = first[cur] if first[cur] != prev else second[cur]
+            if nxt < 0:
+                break
+            prev, cur = cur, nxt
+        chains.append(chain)
+    return chains
 
 
 def marching_squares(fn, threshold: float, domain: Domain, cell: float) -> list[np.ndarray]:
     """Polylines of the level set fn == threshold inside the domain.
 
-    fn must broadcast over numpy arrays.  Returns each connected contour
-    piece as an (n, 2) float array; closed loops repeat their first vertex
-    at the end, open pieces start and end on the domain border.
+    fn must broadcast over numpy arrays of any shape.  Returns each
+    connected contour piece as an (n, 2) float array; closed loops repeat
+    their first vertex at the end, open pieces start and end on the domain
+    border.  Grid edges are ordered horizontal before vertical, then by
+    column, then by row.  Open pieces come first, each starting at the
+    lower of its two end edges and ordered by it; loops follow, each
+    starting at its lowest edge and ordered by it.
+
+    The field is sampled in a narrow band around the contours (see the
+    module docstring): a contour piece that never passes through a
+    block of _BLOCK by _BLOCK cells with disagreeing corners is missed,
+    such as a blob smaller than a block lying between block corners.
     """
     xs, ys = node_axes(domain, cell)
-    values = np.asarray(fn(xs[None, :], ys[:, None]), dtype=float)
-    if values.shape != (ys.size, xs.size):
-        raise InputError("field function did not broadcast to the grid shape")
+    ix, iy, values = _band(fn, threshold, xs, ys)
+    ncx, ncy = xs.size - 1, ys.size - 1
+    n_horizontal = ncx * (ncy + 1)
     inside = values < threshold
 
-    crossings: dict[tuple[str, int, int], Point2] = {}
-    hj, hi = np.nonzero(inside[:, :-1] != inside[:, 1:])
-    for j, i in zip(hj.tolist(), hi.tolist()):
-        v0 = values[j, i]
-        v1 = values[j, i + 1]
-        t = (threshold - v0) / (v1 - v0)
-        crossings[("H", i, j)] = Point2(xs[i] + t * (xs[i + 1] - xs[i]), ys[j])
-    vj, vi = np.nonzero(inside[:-1, :] != inside[1:, :])
-    for j, i in zip(vj.tolist(), vi.tolist()):
-        v0 = values[j, i]
-        v1 = values[j + 1, i]
-        t = (threshold - v0) / (v1 - v0)
-        crossings[("V", i, j)] = Point2(xs[i], ys[j] + t * (ys[j + 1] - ys[j]))
+    # one crossing per grid edge with a sign change, keyed by edge id:
+    # horizontal edge (i, j) is i * (ncy + 1) + j, vertical edge (i, j)
+    # follows all horizontal ones at i * ncy + j.  Neighbouring blocks
+    # share their border nodes, so np.unique drops repeated edges.
+    b, j, i = np.nonzero(inside[:, :, :-1] != inside[:, :, 1:])
+    gi, gj = ix[b, i], iy[b, j]
+    v0 = values[b, j, i]
+    t = (threshold - v0) / (values[b, j, i + 1] - v0)
+    h_ids = gi * (ncy + 1) + gj
+    h_pts = np.column_stack([xs[gi] + t * (xs[gi + 1] - xs[gi]), ys[gj]])
+    b, j, i = np.nonzero(inside[:, :-1, :] != inside[:, 1:, :])
+    gi, gj = ix[b, i], iy[b, j]
+    v0 = values[b, j, i]
+    t = (threshold - v0) / (values[b, j + 1, i] - v0)
+    v_ids = n_horizontal + gi * ncy + gj
+    v_pts = np.column_stack([xs[gi], ys[gj] + t * (ys[gj + 1] - ys[gj])])
+    edge_ids, keep = np.unique(np.concatenate([h_ids, v_ids]), return_index=True)
+    if not edge_ids.size:
+        return []
+    points = np.concatenate([h_pts, v_pts])[keep]
 
-    b = inside.astype(np.int8)
-    case = (
-        b[:-1, :-1]
-        | (b[:-1, 1:] << 1)
-        | (b[1:, 1:] << 2)
-        | (b[1:, :-1] << 3)
-    )
-    adjacency: dict[tuple[str, int, int], list[tuple[str, int, int]]] = {}
-    cj, ci = np.nonzero((case != 0) & (case != 15))
-    for j, i in zip(cj.tolist(), ci.tolist()):
-        k = int(case[j, i])
-        if k == 5 or k == 10:
-            center_inside = (
-                values[j, i]
-                + values[j, i + 1]
-                + values[j + 1, i]
-                + values[j + 1, i + 1]
-            ) / 4.0 < threshold
-            # connect so the two corners matching the center stay joined
-            if (k == 5) == center_inside:
-                segs = [("bottom", "right"), ("top", "left")]
-            else:
-                segs = [("left", "bottom"), ("right", "top")]
-        else:
-            segs = _CASE_SEGMENTS[k]
-        for a, bside in segs:
-            ka = _edge_key(a, i, j)
-            kb = _edge_key(bside, i, j)
-            adjacency.setdefault(ka, []).append(kb)
-            adjacency.setdefault(kb, []).append(ka)
+    s = inside.astype(np.int8)
+    case = s[:, :-1, :-1] | (s[:, :-1, 1:] << 1) | (s[:, 1:, 1:] << 2) | (s[:, 1:, :-1] << 3)
+    real = (np.diff(iy, axis=1) > 0)[:, :, None] & (np.diff(ix, axis=1) > 0)[:, None, :]
+    b, j, i = np.nonzero(real & (case != 0) & (case != 15))
+    gi, gj = ix[b, i], iy[b, j]
+    order = np.argsort(gj * ncx + gi)
+    b, j, i, gi, gj = b[order], j[order], i[order], gi[order], gj[order]
+    case = case[b, j, i]
+    center_inside = (
+        values[b, j, i] + values[b, j, i + 1] + values[b, j + 1, i] + values[b, j + 1, i + 1]
+    ) / 4.0 < threshold
+    saddle = (case == 5) | (case == 10)
+    case = np.where(saddle, np.where((case == 5) == center_inside, 16, 17), case)
 
-    polylines: list[np.ndarray] = []
-    consumed: set[frozenset] = set()
+    sides = _SEGMENTS[case]
+    gi, gj = gi[:, None, None], gj[:, None, None]
+    ends = np.where(
+        (sides == _BOTTOM) | (sides == _TOP),
+        gi * (ncy + 1) + gj + (sides == _TOP),
+        n_horizontal + (gi + (sides == _RIGHT)) * ncy + gj,
+    )[sides[:, :, 0] >= 0]
+    ends = np.searchsorted(edge_ids, ends)
 
-    def walk_chain(start: tuple[str, int, int]) -> list[tuple[str, int, int]]:
-        chain = [start]
-        cur = start
-        while True:
-            nxt = None
-            for nb in adjacency[cur]:
-                link = frozenset((cur, nb))
-                if link not in consumed:
-                    nxt = nb
-                    consumed.add(link)
-                    break
-            if nxt is None:
-                return chain
-            chain.append(nxt)
-            cur = nxt
-
-    ordered_keys = sorted(adjacency)
-    # open chains first, from their degree-one ends
-    for key in ordered_keys:
-        if len(adjacency[key]) == 1:
-            link = frozenset((key, adjacency[key][0]))
-            if link not in consumed:
-                chain = walk_chain(key)
-                polylines.append(
-                    np.array([crossings[e] for e in chain], dtype=float)
-                )
-    # remaining segments belong to closed loops; the walk returns to its
-    # start, repeating it as the final vertex
-    for key in ordered_keys:
-        for nb in adjacency[key]:
-            if frozenset((key, nb)) not in consumed:
-                chain = walk_chain(key)
-                polylines.append(
-                    np.array([crossings[e] for e in chain], dtype=float)
-                )
-                break
-    return polylines
+    # neighbours of each crossing in segment order: cells row by row, then
+    # the segments of a saddle in table order
+    src = ends.ravel()
+    dst = ends[:, ::-1].ravel()
+    by_src = np.argsort(src, kind="stable")
+    degree = np.bincount(src, minlength=edge_ids.size)
+    head = np.cumsum(degree) - degree
+    first = dst[by_src[head]]
+    second = np.where(degree == 2, dst[by_src[np.minimum(head + 1, src.size - 1)]], -1)
+    starts = np.concatenate([np.flatnonzero(degree == 1), np.flatnonzero(degree == 2)])
+    chains = _chains(first.tolist(), second.tolist(), starts.tolist())
+    return [points[chain] for chain in chains]
 
 
 def polyline_length(poly: np.ndarray) -> float:

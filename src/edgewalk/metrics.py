@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 
 from .errors import EmptyContourError, InputError, ReferenceResolutionError
 from .geometry import Domain, Point2
-from .marching import marching_squares, node_axes, polyline_length
+from .marching import marching_squares, polyline_length
 from .walk import BoundaryEstimate
 
 
@@ -242,7 +242,6 @@ __all__ = [
     "asd_to_reference",
     "average_symmetric_distance",
     "coverage_within",
-    "node_axes",
     "reference_from_estimate",
     "reference_from_scalar",
 ]
