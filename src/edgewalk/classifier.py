@@ -9,8 +9,7 @@ strictly below the threshold); ties go to label 0.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InputError
@@ -73,8 +72,8 @@ class Classifier:
     """Counting wrapper around a black-box label function.
 
     query() is the single choke point for label evaluation: it validates the
-    input, increments the counter under a lock (so callers may issue queries
-    concurrently), and optionally logs every (point, label) pair.
+    input, increments the counter, and optionally logs every (point, label)
+    pair.  Queries are issued from one thread; the counter is not locked.
     """
 
     label_fn: Callable[[Point2], int]
@@ -82,7 +81,6 @@ class Classifier:
     name: str = "classifier"
     query_count: int = 0
     log: list[tuple[Point2, int]] | None = None
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def query(self, p: Point2) -> int:
         if not (math.isfinite(p[0]) and math.isfinite(p[1])):
@@ -90,17 +88,15 @@ class Classifier:
         label = int(self.label_fn(p))
         if label not in (0, 1):
             raise InputError(f"label function returned {label!r}, expected 0 or 1")
-        with self._lock:
-            self.query_count += 1
-            if self.log is not None:
-                self.log.append((p, label))
+        self.query_count += 1
+        if self.log is not None:
+            self.log.append((p, label))
         return label
 
     def reset(self) -> None:
-        with self._lock:
-            self.query_count = 0
-            if self.log is not None:
-                self.log.clear()
+        self.query_count = 0
+        if self.log is not None:
+            self.log.clear()
 
 
 def make_classifier(

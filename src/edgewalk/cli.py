@@ -55,6 +55,16 @@ def _parse_point(text: str) -> Point2:
         raise InputError(f"bad point {text!r}") from exc
 
 
+def _walk_config(args, epsilon: float) -> EdgeConfig:
+    """Walk parameters from the --seed-in, --seed-out and --max-queries options."""
+    return EdgeConfig(
+        epsilon=epsilon,
+        seed_interior=_parse_point(args.seed_in) if args.seed_in else None,
+        seed_exterior=_parse_point(args.seed_out) if args.seed_out else None,
+        max_queries=args.max_queries,
+    )
+
+
 def _make_classifier(spec: str, keep_log: bool = False) -> Classifier:
     if spec == "dcopf":
         return make_dcopf_classifier(default_network(), keep_log)
@@ -91,14 +101,7 @@ def _queries_csv(log) -> str:
 
 def _cmd_run(args) -> int:
     classifier = _make_classifier(args.classifier, keep_log=args.log_queries)
-    seed_in = _parse_point(args.seed_in) if args.seed_in else None
-    seed_out = _parse_point(args.seed_out) if args.seed_out else None
-    config = EdgeConfig(
-        epsilon=args.epsilon,
-        seed_interior=seed_in,
-        seed_exterior=seed_out,
-        max_queries=args.max_queries,
-    )
+    config = _walk_config(args, args.epsilon)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -176,21 +179,15 @@ def _cmd_compare(args) -> int:
     if not epsilons:
         raise InputError("no epsilons given")
 
-    seed_in = _parse_point(args.seed_in) if args.seed_in else None
-    seed_out = _parse_point(args.seed_out) if args.seed_out else None
+    configs = [_walk_config(args, eps) for eps in epsilons]
     spec = _scalar_spec(args.classifier)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for eps in epsilons:
+    for config in configs:
+        eps = config.epsilon
         c_edge = _make_classifier(args.classifier)
-        config = EdgeConfig(
-            epsilon=eps,
-            seed_interior=seed_in,
-            seed_exterior=seed_out,
-            max_queries=args.max_queries,
-        )
         t0 = time.perf_counter()
         estimate = run_edge(c_edge, config)
         edge_wall = time.perf_counter() - t0

@@ -6,12 +6,18 @@ numpy enters only at the metrics layer where point sets get large.
 Perimeter convention: a rectangular domain's boundary is parameterized by
 arclength s in [0, P), counter-clockwise, starting at the lower-left corner
 (x_min, y_min).  All perimeter-related helpers share this convention.
+
+A Domain is immutable, so it computes its derived constants (perimeter,
+geometric tolerance, corners and edges) once, on first use, and keeps them;
+the walk reads them on every perimeter step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import CoincidentCentersError, InputError, NoForwardCandidateError
@@ -33,6 +39,20 @@ def midpoint(a: Point2, b: Point2) -> Point2:
 def cross(o: Point2, a: Point2, b: Point2) -> float:
     """Cross product of (a - o) x (b - o); positive when o->a->b turns left."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+class Edge(NamedTuple):
+    """One side of a domain, directed counter-clockwise.
+
+    s_start is the arclength of start; axis is the coordinate the side
+    holds constant (1 for the horizontal sides, 0 for the vertical ones).
+    """
+
+    start: Point2
+    end: Point2
+    length: float
+    s_start: float
+    axis: int
 
 
 @dataclass(frozen=True)
@@ -63,7 +83,7 @@ class Domain:
     def diagonal(self) -> float:
         return math.hypot(self.width, self.height)
 
-    @property
+    @cached_property
     def perimeter(self) -> float:
         return 2.0 * (self.width + self.height)
 
@@ -71,19 +91,36 @@ class Domain:
     def center(self) -> Point2:
         return Point2(0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max))
 
-    @property
+    @cached_property
     def geom_tol(self) -> float:
         """Geometric tolerance used for containment and dedup decisions."""
         return 1e-9 * max(1.0, self.diagonal)
 
     def corners(self) -> tuple[Point2, Point2, Point2, Point2]:
         """Corners counter-clockwise from the lower-left."""
+        return self._corners
+
+    @cached_property
+    def _corners(self) -> tuple[Point2, Point2, Point2, Point2]:
         return (
             Point2(self.x_min, self.y_min),
             Point2(self.x_max, self.y_min),
             Point2(self.x_max, self.y_max),
             Point2(self.x_min, self.y_max),
         )
+
+    @cached_property
+    def edges(self) -> tuple[Edge, Edge, Edge, Edge]:
+        """The four sides counter-clockwise, the bottom one first."""
+        cs = self._corners
+        edges = []
+        s_start = 0.0
+        for i in range(4):
+            a, b = cs[i], cs[(i + 1) % 4]
+            length = distance(a, b)
+            edges.append(Edge(a, b, length, s_start, 1 - i % 2))
+            s_start += length
+        return tuple(edges)
 
     def contains(self, p: Point2, tol: float = 0.0) -> bool:
         """Closed-rectangle membership, optionally expanded by tol."""
@@ -141,16 +178,17 @@ def circle_circle_intersection(
         )
     if d > 2.0 * r + tol:
         return []
-    mid = midpoint(c1, c2)
+    mx = 0.5 * (c1[0] + c2[0])
+    my = 0.5 * (c1[1] + c2[1])
     if d >= 2.0 * r - tol:
-        return [mid]
+        return [Point2(mx, my)]
     h = math.sqrt(r * r - 0.25 * d * d)
     # unit perpendicular of c1->c2, rotated +90 degrees
     px = -(c2[1] - c1[1]) / d
     py = (c2[0] - c1[0]) / d
     return [
-        Point2(mid[0] + h * px, mid[1] + h * py),
-        Point2(mid[0] - h * px, mid[1] - h * py),
+        Point2(mx + h * px, my + h * py),
+        Point2(mx - h * px, my - h * py),
     ]
 
 
@@ -214,19 +252,22 @@ def perimeter_circle_intersection(
 
     Returns (point, arclength) pairs sorted by arclength, with duplicates at
     corners merged.  May be empty when the circle misses the perimeter.
+    An edge whose line lies farther than r + 2 tol from the center cannot
+    yield a hit, so its quadratic is not solved.
     """
     tol = domain.geom_tol
-    cs = domain.corners()
+    period = domain.perimeter
+    reach = r + 2.0 * tol
     hits: list[tuple[Point2, float]] = []
-    s_edge = 0.0
-    for i in range(4):
-        a, b = cs[i], cs[(i + 1) % 4]
-        edge_len = distance(a, b)
+    for a, b, edge_len, s_edge, axis in domain.edges:
+        if abs(center[axis] - a[axis]) > reach:
+            continue
         for t in _segment_circle_hits(a[0], a[1], b[0], b[1], center, r, tol):
             p = Point2(a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-            hits.append((p, (s_edge + t * edge_len) % domain.perimeter))
-        s_edge += edge_len
-    hits.sort(key=lambda h: h[1])
+            hits.append((p, (s_edge + t * edge_len) % period))
+    if len(hits) < 2:
+        return hits
+    hits.sort(key=itemgetter(1))
     deduped: list[tuple[Point2, float]] = []
     for p, s in hits:
         if deduped and distance(deduped[-1][0], p) <= tol:

@@ -157,7 +157,10 @@ class _Budget:
         return self.classifier.query_count - self.start
 
     def query(self, p: Point2) -> int:
-        if self.max_queries is not None and self.used >= self.max_queries:
+        if (
+            self.max_queries is not None
+            and self.classifier.query_count - self.start >= self.max_queries
+        ):
             raise BudgetExhaustedError(
                 f"query budget of {self.max_queries} exhausted"
             )
