@@ -83,6 +83,8 @@ class TestSimplex:
             solve_bounded_lp([0.0], [[1.0]], [0.5], [2.0], [1.0])
         with pytest.raises(InputError):
             solve_bounded_lp([0.0], [[1.0]], [0.5], [-np.inf], [1.0])
+        with pytest.raises(InputError):
+            solve_bounded_lp([0.0], [[1.0]], [0.5], [0.0], [np.nan])
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(InputError):

@@ -1,9 +1,10 @@
 """Walk output pinned byte for byte.
 
 Each case hashes the points.csv text that `edgewalk run` would write for
-the estimate.  The hashes were recorded before the walk's geometry was
-made cheaper; any change to a walk point, its label or its order shows
-here.  A deliberate change of walk output must re-record them and say so.
+the estimate.  The hashes were recorded before the walk's geometry, and
+for the five-bus study the simplex oracle, were made cheaper; any change
+to a walk point, its label or its order shows here.  A deliberate change
+of walk output must re-record them and say so.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import pytest
 
 from edgewalk.classifier import make_classifier, make_test_classifier
 from edgewalk.cli import _points_csv
+from edgewalk.dcopf import default_network, make_dcopf_classifier
 from edgewalk.geometry import Domain, Point2
 from edgewalk.walk import EdgeConfig, Termination, run_edge
 
@@ -39,6 +41,16 @@ def _rim_heavy_half_plane():
     return c, EdgeConfig(epsilon=0.03)
 
 
+def _five_bus_study():
+    # the README study: every label is a phase-one simplex verdict
+    cfg = EdgeConfig(
+        epsilon=0.1,
+        seed_interior=Point2(0.4, 4.74),
+        seed_exterior=Point2(10.0, 7.0),
+    )
+    return make_dcopf_classifier(default_network()), cfg
+
+
 @pytest.mark.parametrize(
     "build, termination, queries, digest",
     [
@@ -60,8 +72,14 @@ def _rim_heavy_half_plane():
             2667,
             "0b77d801335add379fe57a00d014b23bf39fbbf77c97f904f98ba0da9f2d136a",
         ),
+        (
+            _five_bus_study,
+            Termination.CLOSED_LOOP,
+            281,
+            "ca9d17c53b6993a47ab008f90f36f1ec61d11a6e8cff64e639f42d97a3f6752b",
+        ),
     ],
-    ids=["rosenbrock", "lower-half-strip", "rim-heavy-half-plane"],
+    ids=["rosenbrock", "lower-half-strip", "rim-heavy-half-plane", "five-bus-study"],
 )
 def test_points_csv_is_unchanged(build, termination, queries, digest):
     classifier, config = build()
