@@ -85,9 +85,11 @@ class Classifier:
     def query(self, p: Point2) -> int:
         if not (math.isfinite(p[0]) and math.isfinite(p[1])):
             raise InputError(f"classifier queried at non-finite point {p}")
-        label = int(self.label_fn(p))
-        if label not in (0, 1):
-            raise InputError(f"label function returned {label!r}, expected 0 or 1")
+        raw = self.label_fn(p)
+        # checked before conversion, so that 0.7 or NaN is refused, not truncated
+        if raw not in (0, 1):
+            raise InputError(f"label function returned {raw!r}, expected 0 or 1")
+        label = int(raw)
         self.query_count += 1
         if self.log is not None:
             self.log.append((p, label))

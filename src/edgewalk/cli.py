@@ -8,6 +8,8 @@ injections.
 
 Exit codes: 0 on success, 2 when no boundary exists in the domain, 3 when
 the query budget dies first, 4 for bad input, 5 for geometric failures.
+When the budget dies or the geometry fails mid-walk, `run` still writes
+the partial estimate.
 """
 
 from __future__ import annotations
@@ -162,6 +164,7 @@ def _cmd_run(args) -> int:
     if estimate.termination is Termination.BUDGET_EXHAUSTED:
         return 3
     if estimate.termination is Termination.FAILED:
+        print(f"error: {estimate.failure}", file=sys.stderr)
         return 5
     return 0
 
@@ -191,6 +194,8 @@ def _cmd_compare(args) -> int:
         t0 = time.perf_counter()
         estimate = run_edge(c_edge, config)
         edge_wall = time.perf_counter() - t0
+        if estimate.termination is Termination.FAILED:
+            raise GeometricFailureError(estimate.failure)
 
         c_grid = _make_classifier(args.classifier)
         t0 = time.perf_counter()

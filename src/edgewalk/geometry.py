@@ -10,6 +10,11 @@ arclength s in [0, P), counter-clockwise, starting at the lower-left corner
 A Domain is immutable, so it computes its derived constants (perimeter,
 geometric tolerance, corners and edges) once, on first use, and keeps them;
 the walk reads them on every perimeter step.
+
+A walk step is one pass of float arithmetic: `circle_circle_intersection`
+and `select_forward` for the step between two epsilon-circles,
+`perimeter_circle_intersection` for a step along the rim.  Each solves its
+formulas inline and builds only the points it returns.
 """
 
 from __future__ import annotations
@@ -26,6 +31,11 @@ from .errors import CoincidentCentersError, InputError, NoForwardCandidateError
 class Point2(NamedTuple):
     x: float
     y: float
+
+
+# Point2(x, y) runs a Python-level __new__; the per-step code builds the
+# same tuple directly, in about half the time
+_new_point = tuple.__new__
 
 
 def distance(a: Point2, b: Point2) -> float:
@@ -46,6 +56,9 @@ class Edge(NamedTuple):
 
     s_start is the arclength of start; axis is the coordinate the side
     holds constant (1 for the horizontal sides, 0 for the vertical ones).
+    The remaining fields are the side's constants in the segment-circle
+    quadratic: the direction (dx, dy) = end - start, a = dx^2 + dy^2, and
+    the tolerance t_tol in units of the segment parameter.
     """
 
     start: Point2
@@ -53,6 +66,10 @@ class Edge(NamedTuple):
     length: float
     s_start: float
     axis: int
+    dx: float
+    dy: float
+    a: float
+    t_tol: float
 
 
 @dataclass(frozen=True)
@@ -113,12 +130,19 @@ class Domain:
     def edges(self) -> tuple[Edge, Edge, Edge, Edge]:
         """The four sides counter-clockwise, the bottom one first."""
         cs = self._corners
+        tol = self.geom_tol
         edges = []
         s_start = 0.0
         for i in range(4):
             a, b = cs[i], cs[(i + 1) % 4]
             length = distance(a, b)
-            edges.append(Edge(a, b, length, s_start, 1 - i % 2))
+            dx, dy = b[0] - a[0], b[1] - a[1]
+            sq_len = dx * dx + dy * dy
+            seg_len = math.sqrt(sq_len)
+            t_tol = tol / seg_len if seg_len > 0.0 else 0.0
+            edges.append(
+                Edge(a, b, length, s_start, 1 - i % 2, dx, dy, sq_len, t_tol)
+            )
             s_start += length
         return tuple(edges)
 
@@ -171,7 +195,9 @@ def circle_circle_intersection(
     the left of the directed line c1->c2 first.  Raises for (nearly)
     coincident centers, where the intersection is not a finite point set.
     """
-    d = distance(c1, c2)
+    ux = c2[0] - c1[0]
+    uy = c2[1] - c1[1]
+    d = math.hypot(ux, uy)
     if d <= tol:
         raise CoincidentCentersError(
             f"circle centers {c1} and {c2} coincide within tolerance {tol}"
@@ -183,12 +209,12 @@ def circle_circle_intersection(
     if d >= 2.0 * r - tol:
         return [Point2(mx, my)]
     h = math.sqrt(r * r - 0.25 * d * d)
-    # unit perpendicular of c1->c2, rotated +90 degrees
-    px = -(c2[1] - c1[1]) / d
-    py = (c2[0] - c1[0]) / d
+    # unit perpendicular of c1->c2, rotated +90 degrees, scaled by h
+    hx = h * (-uy / d)
+    hy = h * (ux / d)
     return [
-        Point2(mx + h * px, my + h * py),
-        Point2(mx - h * px, my - h * py),
+        _new_point(Point2, (mx + hx, my + hy)),
+        _new_point(Point2, (mx - hx, my - hy)),
     ]
 
 
@@ -201,7 +227,10 @@ def select_forward(
     (candidate - inner_end).  The cross product is normalized to a signed
     perpendicular offset so the threshold is a length, comparable to tol.
     """
-    base = distance(inner_end, outer_end)
+    ix, iy = inner_end
+    ux = outer_end[0] - ix
+    uy = outer_end[1] - iy
+    base = math.hypot(ux, uy)
     if base <= tol:
         raise CoincidentCentersError(
             f"walk endpoints {inner_end} and {outer_end} coincide within {tol}"
@@ -209,7 +238,7 @@ def select_forward(
     best: Point2 | None = None
     best_offset = tol
     for cand in candidates:
-        offset = cross(inner_end, outer_end, cand) / base
+        offset = (ux * (cand[1] - iy) - uy * (cand[0] - ix)) / base
         if offset > best_offset:
             best = cand
             best_offset = offset
@@ -219,30 +248,6 @@ def select_forward(
             f"({inner_end}, {outer_end})"
         )
     return best
-
-
-def _segment_circle_hits(
-    ax: float, ay: float, bx: float, by: float, center: Point2, r: float, tol: float
-) -> list[float]:
-    """Parameters t in [0,1] where segment a->b meets the circle."""
-    dx, dy = bx - ax, by - ay
-    fx, fy = ax - center[0], ay - center[1]
-    a = dx * dx + dy * dy
-    b = 2.0 * (fx * dx + fy * dy)
-    c = fx * fx + fy * fy - r * r
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    sq = math.sqrt(disc)
-    seg_len = math.sqrt(a)
-    t_tol = tol / seg_len if seg_len > 0.0 else 0.0
-    out = []
-    for t in ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)):
-        if -t_tol <= t <= 1.0 + t_tol:
-            out.append(min(max(t, 0.0), 1.0))
-    if len(out) == 2 and abs(out[0] - out[1]) <= t_tol:
-        out.pop()
-    return out
 
 
 def perimeter_circle_intersection(
@@ -258,14 +263,50 @@ def perimeter_circle_intersection(
     tol = domain.geom_tol
     period = domain.perimeter
     reach = r + 2.0 * tol
+    cx, cy = center
+    rr = r * r
     hits: list[tuple[Point2, float]] = []
-    for a, b, edge_len, s_edge, axis in domain.edges:
-        if abs(center[axis] - a[axis]) > reach:
+    for edge in domain.edges:
+        ax, ay = start = edge.start
+        axis = edge.axis
+        if abs(center[axis] - start[axis]) > reach:
             continue
-        for t in _segment_circle_hits(a[0], a[1], b[0], b[1], center, r, tol):
-            p = Point2(a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-            hits.append((p, (s_edge + t * edge_len) % period))
+        dx, dy, a, t_tol = edge.dx, edge.dy, edge.a, edge.t_tol
+        # the segment start + t (dx, dy) meets the circle where
+        # a t^2 + b t + c = 0, for t within t_tol of [0, 1]
+        fx, fy = ax - cx, ay - cy
+        b = 2.0 * (fx * dx + fy * dy)
+        c = fx * fx + fy * fy - rr
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            continue
+        sq = math.sqrt(disc)
+        t_lo, t_hi = -t_tol, 1.0 + t_tol
+        s_edge, edge_len = edge.s_start, edge.length
+        t0 = (-b - sq) / (2.0 * a)
+        if t_lo <= t0 <= t_hi:
+            t0 = 0.0 if t0 < 0.0 else 1.0 if t0 > 1.0 else t0
+            p = _new_point(Point2, (ax + t0 * dx, ay + t0 * dy))
+            hits.append((p, (s_edge + t0 * edge_len) % period))
+        else:
+            t0 = None
+        t1 = (-b + sq) / (2.0 * a)
+        if t_lo <= t1 <= t_hi:
+            t1 = 0.0 if t1 < 0.0 else 1.0 if t1 > 1.0 else t1
+            # a second root within t_tol of the first is the same hit
+            if t0 is None or abs(t0 - t1) > t_tol:
+                p = _new_point(Point2, (ax + t1 * dx, ay + t1 * dy))
+                hits.append((p, (s_edge + t1 * edge_len) % period))
     if len(hits) < 2:
+        return hits
+    if len(hits) == 2:
+        # the perimeter walk's usual case: sorting and merging two hits
+        # reduce to one comparison of arclengths and one of distance
+        (p0, s0), (p1, s1) = hits
+        if s1 < s0:
+            hits.reverse()
+        if math.hypot(p0[0] - p1[0], p0[1] - p1[1]) <= tol:
+            del hits[1]
         return hits
     hits.sort(key=itemgetter(1))
     deduped: list[tuple[Point2, float]] = []

@@ -10,6 +10,14 @@ decision boundary between them.
 
 When a test point falls outside the domain, the walk switches to stepping
 along the domain perimeter until the boundary re-enters, then resumes.
+
+Each step is one pass of float arithmetic: `circle_circle_intersection`
+and `select_forward` compute the next test point between the two circles
+in straight-line code, and the containment, stall and closure tests are
+inline comparisons.  A degenerate pair (tangent circles or numerically
+fused centres) makes them raise the typed errors that trigger one
+re-bisection.  A geometric failure mid-walk ends the walk with
+termination `failed` and keeps the partial estimate.
 """
 
 from __future__ import annotations
@@ -114,7 +122,8 @@ class BoundaryEstimate:
 
     labels_order records the label of each appended point in append order,
     so the interleaving of the two sets can be reconstructed: the k-th
-    entry says which set received its next point at step k.
+    entry says which set received its next point at step k.  A walk that
+    ends in a geometric failure keeps its message in failure.
     """
 
     inner: list[Point2]
@@ -127,6 +136,7 @@ class BoundaryEstimate:
     seed_queries: int = 0
     bisection_queries: int = 0
     walk_queries: int = 0
+    failure: str | None = None
 
     def points_in_order(self) -> list[tuple[Point2, int]]:
         """All estimate points as (point, label), in append order."""
@@ -151,16 +161,14 @@ class _Budget:
         self.classifier = classifier
         self.max_queries = max_queries
         self.start = classifier.query_count
+        self.limit = math.inf if max_queries is None else self.start + max_queries
 
     @property
     def used(self) -> int:
         return self.classifier.query_count - self.start
 
     def query(self, p: Point2) -> int:
-        if (
-            self.max_queries is not None
-            and self.classifier.query_count - self.start >= self.max_queries
-        ):
+        if self.classifier.query_count >= self.limit:
             raise BudgetExhaustedError(
                 f"query budget of {self.max_queries} exhausted"
             )
@@ -237,28 +245,32 @@ def domain_boundary_walk(
         direction = 1.0 if nearest >= 0.0 else -1.0
     else:
         direction = 1.0
+    query = budget.query
+    half_period = 0.5 * period
     appended = 0
     span = 0.0
     while True:
-        if budget.query(x_test) == 0:
+        if query(x_test) == 0:
             outer.append(x_test)
             labels_order.append(0)
             return appended + 1
         inner.append(x_test)
         labels_order.append(1)
         appended += 1
-        step_cands = perimeter_circle_intersection(domain, x_test, epsilon)
-        forward = []
-        for p, s in step_cands:
-            d = wrapped_delta(s_cur, s, period) * direction
-            if d > tol:
-                forward.append((d, s, p))
-        if not forward:
+        # the nearest hit ahead, as min() over (delta, s, point) would pick it
+        d_new = math.inf
+        for p, s in perimeter_circle_intersection(domain, x_test, epsilon):
+            d = (s - s_cur) % period  # wrapped_delta(s_cur, s, period)
+            if d > half_period:
+                d -= period
+            d *= direction
+            if tol < d < d_new or (d == d_new and (s, p) < (s_new, p_new)):
+                d_new, s_new, p_new = d, s, p
+        if d_new == math.inf:
             raise GeometricFailureError(
                 f"domain walk found no forward perimeter point from {x_test}"
             )
-        d, s_new, p_new = min(forward)
-        span += d
+        span += d_new
         if span >= period:
             raise FullPerimeterError(
                 "perimeter walk traversed the full domain boundary without "
@@ -282,22 +294,28 @@ def decision_boundary_walk(
     walk.  The loop closes once the walk has first escaped the start
     bracket (beyond two epsilon) and the latest point then returns to
     within epsilon of a start point; walks on features too small to escape
-    run until the budget ends.
+    run until the budget ends.  A budget death or a geometric failure ends
+    the walk with the points found so far, termination budget_exhausted or
+    failed.
     """
     epsilon = config.epsilon
     domain = c.domain
     tol = domain.geom_tol
     if budget is None:
         budget = _Budget(c, config.budget_for(domain))
+    query = budget.query
+    hypot = math.hypot
+    x_lo, x_hi = domain.x_min - tol, domain.x_max + tol
+    y_lo, y_hi = domain.y_min - tol, domain.y_max + tol
     inner = [trace.inner_end]
     outer = [trace.outer_end]
     labels_order = [1, 0]
-    start_inner = inner[0]
-    start_outer = outer[0]
+    (xi0, yi0), (xo0, yo0) = inner[0], outer[0]
     steps = 0
     last_test: Point2 | None = None
     escaped = False
     termination = Termination.CLOSED_LOOP
+    failure = None
     walk_start = budget.used
     while True:
         try:
@@ -316,42 +334,51 @@ def decision_boundary_walk(
                     inner[-1], outer[-1], epsilon, tol
                 )
                 x_test = select_forward(inner[-1], outer[-1], cands, tol)
-            if last_test is not None and distance(x_test, last_test) <= tol:
+            x, y = x_test
+            if (
+                last_test is not None
+                and hypot(x - last_test[0], y - last_test[1]) <= tol
+            ):
                 raise StalledWalkError(
                     f"walk repeated test point {x_test} after {steps} steps"
                 )
             last_test = x_test
-            if domain.contains(x_test, tol):
-                if budget.query(x_test) == 1:
+            if x_lo <= x <= x_hi and y_lo <= y <= y_hi:
+                if query(x_test) == 1:
                     inner.append(x_test)
                     labels_order.append(1)
                 else:
                     outer.append(x_test)
                     labels_order.append(0)
                 steps += 1
-                probe = x_test
             else:
                 steps += domain_boundary_walk(
                     c, inner, outer, labels_order, epsilon, budget
                 )
-                probe = outer[-1]
+                x, y = outer[-1]
                 last_test = None
         except BudgetExhaustedError:
             termination = Termination.BUDGET_EXHAUSTED
             break
-        back_dist = min(
-            distance(probe, start_inner), distance(probe, start_outer)
-        )
-        if not escaped and back_dist > 2.0 * epsilon:
-            escaped = True
-        if (
-            escaped
-            and steps >= 3
-            and len(inner) > 1
-            and len(outer) > 1
-            and back_dist <= epsilon
-        ):
+        except GeometricFailureError as exc:
+            termination = Termination.FAILED
+            failure = str(exc)
             break
+        # distance of the latest point to the nearer start point
+        back_dist = hypot(x - xi0, y - yi0)
+        to_outer = hypot(x - xo0, y - yo0)
+        if to_outer < back_dist:
+            back_dist = to_outer
+        if escaped:
+            if (
+                back_dist <= epsilon
+                and steps >= 3
+                and len(inner) > 1
+                and len(outer) > 1
+            ):
+                break
+        elif back_dist > 2.0 * epsilon:
+            escaped = True
     return BoundaryEstimate(
         inner=inner,
         outer=outer,
@@ -360,6 +387,7 @@ def decision_boundary_walk(
         domain=domain,
         termination=termination,
         walk_queries=budget.used - walk_start,
+        failure=failure,
     )
 
 
@@ -431,7 +459,8 @@ def run_edge(c: Classifier, config: EdgeConfig) -> BoundaryEstimate:
     Raises NoBoundaryFoundError when the domain appears single-label and
     BudgetExhaustedError when the budget dies before any boundary point is
     certified; a budget death during the walk instead returns the partial
-    estimate with termination budget_exhausted.
+    estimate with termination budget_exhausted, and a geometric failure
+    during the walk returns it with termination failed.
     """
     domain = c.domain
     config.validate_for(domain)

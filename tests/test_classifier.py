@@ -99,9 +99,22 @@ class TestClassifier:
         dom = Domain(0.0, 1.0, 0.0, 1.0)
         from edgewalk.classifier import Classifier
 
-        c = Classifier(label_fn=lambda p: 2, domain=dom, name="bad")
-        with pytest.raises(InputError):
-            c.query(Point2(0.5, 0.5))
+        for bad in (2, -1, 0.7, 1.5, float("nan"), "1"):
+            c = Classifier(label_fn=lambda p, bad=bad: bad, domain=dom, name="bad")
+            with pytest.raises(InputError):
+                c.query(Point2(0.5, 0.5))
+            assert c.query_count == 0
+
+    def test_accepts_label_values_equal_to_zero_or_one(self):
+        dom = Domain(0.0, 1.0, 0.0, 1.0)
+        from edgewalk.classifier import Classifier
+
+        goods = [True, False, 1.0, 0.0, np.bool_(True), np.int64(0)]
+        labels = [1, 0, 1, 0, 1, 0]
+        for good, label in zip(goods, labels):
+            c = Classifier(label_fn=lambda p, good=good: good, domain=dom, name="ok")
+            got = c.query(Point2(0.5, 0.5))
+            assert got == label and type(got) is int
 
 
 def test_named_classifier_lookup():

@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
+from edgewalk import cli
+from edgewalk.classifier import make_classifier
 from edgewalk.cli import main
+from edgewalk.geometry import Domain
 
 # two buses, ample generation, no line limits: every injection pair balances
 ALL_FEASIBLE_NET = """
@@ -33,6 +36,25 @@ ALL_FEASIBLE_NET = """
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+@pytest.fixture
+def rim_interior(monkeypatch):
+    """Serve every classifier name as y < 0.5 on the unit square, rim interior.
+
+    Its walk meets the rim and steps all the way round it, a geometric
+    failure mid-walk.
+    """
+
+    def fn(x, y):
+        on_rim = x <= 0.0 or x >= 1.0 or y <= 0.0 or y >= 1.0
+        return -1.0 if on_rim else y
+
+    def build(spec, keep_log=False):
+        return make_classifier(fn, 0.5, Domain(0.0, 1.0, 0.0, 1.0), spec, keep_log)
+
+    monkeypatch.setattr(cli, "_make_classifier", build)
+    return ["--seed-in", "0.5,0.25", "--seed-out", "0.5,0.75"]
 
 
 class TestRun:
@@ -202,6 +224,18 @@ class TestRun:
         assert report["total_queries"] == 40
         assert (out / "points.csv").exists()
 
+    def test_geometric_failure_reports_partial_estimate(
+        self, tmp_path, rim_interior, capsys
+    ):
+        out = tmp_path / "o"
+        argv = ["run", "rim", "--epsilon", "0.05", *rim_interior, "--out", str(out)]
+        assert main(argv) == 5
+        assert "full domain boundary" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["termination"] == "failed"
+        rows = read_csv(out / "points.csv")
+        assert len(rows) == report["inner_points"] + report["outer_points"] > 80
+
     def test_boundaryless_domain_exit_code(self, tmp_path):
         net = tmp_path / "flat.txt"
         net.write_text(ALL_FEASIBLE_NET)
@@ -257,6 +291,13 @@ class TestCompare:
         assert rc == 0
         rows = read_csv(out / "table.csv")
         assert rows[0]["edge_asd"] == "" and rows[0]["grid_asd"] == ""
+
+    def test_geometric_failure_exit_code(self, tmp_path, rim_interior, capsys):
+        out = tmp_path / "o"
+        argv = ["compare", "rim", "--epsilons", "0.05", *rim_interior, "--out", str(out)]
+        assert main(argv) == 5
+        assert "full domain boundary" in capsys.readouterr().err
+        assert not (out / "table.csv").exists()
 
     def test_empty_epsilons_rejected(self, tmp_path):
         rc = main(

@@ -1,10 +1,13 @@
 """The walk's per-step geometry against its straightforward versions.
 
 `perimeter_circle_intersection` reads the sides from the domain's cached
-`edges` and skips every side whose line lies out of the circle's reach;
-`circle_circle_intersection` computes the midpoint inline.  The versions
-below solve all four sides and build the midpoint as a point; they are the
-oracle, and the fast ones must return exactly equal lists.
+`edges`, skips every side whose line lies out of the circle's reach and
+solves the quadratic inline; `circle_circle_intersection` and
+`select_forward`, the walk's forward step, compute the midpoint, the
+distance and the offsets inline.  The versions below solve all four sides,
+build the midpoint as a point and call `distance` and `cross`; they are
+the oracle, and the fast ones must return exactly equal results and raise
+the same errors.
 """
 
 import math
@@ -14,14 +17,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from edgewalk.errors import CoincidentCentersError
+from edgewalk.errors import CoincidentCentersError, NoForwardCandidateError
 from edgewalk.geometry import (
     Domain,
     Point2,
     circle_circle_intersection,
+    cross,
     distance,
     midpoint,
     perimeter_circle_intersection,
+    select_forward,
 )
 
 
@@ -43,6 +48,27 @@ def oracle_circle_circle_intersection(c1, c2, r, tol):
         Point2(mid[0] + h * px, mid[1] + h * py),
         Point2(mid[0] - h * px, mid[1] - h * py),
     ]
+
+
+def oracle_select_forward(inner_end, outer_end, candidates, tol):
+    base = distance(inner_end, outer_end)
+    if base <= tol:
+        raise CoincidentCentersError(
+            f"walk endpoints {inner_end} and {outer_end} coincide within {tol}"
+        )
+    best = None
+    best_offset = tol
+    for cand in candidates:
+        offset = cross(inner_end, outer_end, cand) / base
+        if offset > best_offset:
+            best = cand
+            best_offset = offset
+    if best is None:
+        raise NoForwardCandidateError(
+            f"no candidate among {candidates} lies forward of "
+            f"({inner_end}, {outer_end})"
+        )
+    return best
 
 
 def _oracle_segment_circle_hits(ax, ay, bx, by, center, r, tol):
@@ -164,6 +190,35 @@ def test_rim_hits_equal_oracle_at_walk_scale(data):
     ) == oracle_perimeter_circle_intersection(dom, center, r)
 
 
+def test_two_rim_hits_wrap_around_and_merge_at_tol():
+    # the circle cuts the bottom side tol right of the lower-left corner
+    # and, by rounding, touches the left side at its end t = 1, whose
+    # arclength wraps to 0: the two hits arrive out of order, exactly tol
+    # apart, and merge into the earlier one
+    dom = Domain(0.0, 0.5, 0.0, 0.5)
+    center = Point2(float.fromhex("0x1.9c511dc3a41ccp-30"), 0.0)
+    r = float.fromhex("0x1.12e0be826d66dp-31")
+    assert dom.geom_tol == 1e-9
+    hits = perimeter_circle_intersection(dom, center, r)
+    assert hits == [(Point2(0.0, 0.0), 0.0)]
+    assert hits == oracle_perimeter_circle_intersection(dom, center, r)
+    # a hair wider, the bottom hit moves out of reach of the merge
+    wider = math.nextafter(r, math.inf)
+    for _ in range(40):
+        wider = math.nextafter(wider, math.inf)
+    hits = perimeter_circle_intersection(dom, center, wider)
+    assert len(hits) == 2 and hits[0] == (Point2(0.0, 0.0), 0.0)
+    assert hits == oracle_perimeter_circle_intersection(dom, center, wider)
+    # two hits of the left side, both clamped to its ends: the second one
+    # wraps to arclength 0 and comes first
+    tall = Domain(0.0, 1.0, 0.0, 4.0)
+    center = Point2(0.6, 2.0)
+    r = math.hypot(0.6, 2.0 + 0.5 * tall.geom_tol)
+    hits = perimeter_circle_intersection(tall, center, r)
+    assert hits == [(Point2(0.0, 0.0), 0.0), (Point2(0.0, 4.0), 6.0)]
+    assert hits == oracle_perimeter_circle_intersection(tall, center, r)
+
+
 def _circle_outcome(fn, c1, c2, r, tol):
     try:
         return fn(c1, c2, r, tol)
@@ -197,6 +252,104 @@ def test_circle_pair_tangent_and_coincident_equal_oracle(tol):
         assert _circle_outcome(
             circle_circle_intersection, c1, c2, 1.0, tol
         ) == _circle_outcome(oracle_circle_circle_intersection, c1, c2, 1.0, tol)
+
+
+def _step(intersect, select, c1, c2, r, tol):
+    """The walk's forward step: the crossings, then the forward one."""
+    try:
+        cands = intersect(c1, c2, r, tol)
+    except CoincidentCentersError as exc:
+        return "intersect", type(exc), str(exc)
+    try:
+        return cands, select(c1, c2, cands, tol)
+    except (CoincidentCentersError, NoForwardCandidateError) as exc:
+        return cands, type(exc), str(exc)
+
+
+def _assert_step_equals_oracle(c1, c2, r, tol):
+    fast = _step(circle_circle_intersection, select_forward, c1, c2, r, tol)
+    oracle = _step(
+        oracle_circle_circle_intersection, oracle_select_forward, c1, c2, r, tol
+    )
+    assert fast == oracle
+    if fast[0] != "intersect":
+        assert all(type(p) is Point2 for p in fast[0])
+
+
+def _nudge(v, ulps):
+    direction = math.copysign(math.inf, ulps)
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, direction)
+    return v
+
+
+@st.composite
+def circle_pairs(draw):
+    """Centre pairs at d = tol, 2r - tol, 2r, 2r + tol, r or anywhere, +- a few ulps."""
+    r = 10.0 ** draw(st.floats(-12.0, 6.0))
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, r * 1e-9, r * 0.3]))
+    x = draw(st.floats(-1e3, 1e3))
+    y = draw(st.floats(-1e3, 1e3))
+    target = draw(
+        st.sampled_from([tol, 2.0 * r - tol, 2.0 * r, 2.0 * r + tol, r])
+        | st.floats(0.0, 2.5).map(lambda k: k * r)
+    )
+    ulps = draw(st.integers(-4, 4))
+    if draw(st.booleans()):
+        # along an axis the distance is the coordinate difference exactly
+        # when it is representable, so the ulp nudges land on the thresholds
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        if draw(st.booleans()):
+            return Point2(x, y), Point2(_nudge(x + sign * target, ulps), y), r, tol
+        return Point2(x, y), Point2(x, _nudge(y + sign * target, ulps)), r, tol
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    c2 = Point2(
+        _nudge(x + target * math.cos(angle), ulps), y + target * math.sin(angle)
+    )
+    return Point2(x, y), c2, r, tol
+
+
+@settings(max_examples=1000, deadline=None)
+@given(circle_pairs())
+def test_forward_step_equals_oracle_at_thresholds(pair):
+    _assert_step_equals_oracle(*pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(-1e3, 1e3),
+    st.floats(-1e3, 1e3),
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(-6.0, 3.0),
+    st.floats(0.01, 1.0),
+)
+def test_forward_step_equals_oracle_at_walk_scale(x, y, angle, log_r, ratio):
+    # the walk's pairs: a bisection gap below epsilon, or one step of epsilon
+    r = 10.0 ** log_r
+    tol = 1e-9 * max(1.0, 2e3)
+    for d in (ratio * r, r):
+        c2 = Point2(x + d * math.cos(angle), y + d * math.sin(angle))
+        _assert_step_equals_oracle(Point2(x, y), c2, r, tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9])
+def test_forward_step_equals_oracle_at_exact_thresholds(tol):
+    c1 = Point2(0.25, -3.0)
+    for c2 in (
+        c1,
+        Point2(0.25 + tol, -3.0),
+        Point2(2.25, -3.0),
+        Point2(2.25 - tol, -3.0),
+        Point2(0.25, -1.0),
+        Point2(1.25, -3.0),
+        Point2(-0.75, -3.0),
+    ):
+        for a, b in ((c1, c2), (c2, c1)):
+            _assert_step_equals_oracle(a, b, 1.0, tol)
+    cands = circle_circle_intersection(c1, Point2(1.25, -3.0), 1.0, tol)
+    assert select_forward(c1, Point2(1.25, -3.0), cands, tol) == Point2(
+        0.75, -3.0 + math.sqrt(0.75)
+    )
 
 
 def test_cached_constants_match_their_formulas():

@@ -193,6 +193,44 @@ def test_domain_walk_raises_after_full_lap():
         domain_boundary_walk(c, inner, outer, labels, 0.05)
 
 
+def rim_interior_half_plane():
+    """The half-plane y < 0.5, except that every rim point is interior."""
+
+    def fn(x, y):
+        on_rim = x <= 0.0 or x >= 1.0 or y <= 0.0 or y >= 1.0
+        return -1.0 if on_rim else y
+
+    return make_classifier(fn, 0.5, UNIT_SQUARE, "rim-interior")
+
+
+def test_geometric_failure_mid_walk_returns_partial_estimate():
+    # the walk meets the rim, whose interior points go all the way round
+    c = rim_interior_half_plane()
+    cfg = EdgeConfig(
+        epsilon=0.05,
+        seed_interior=Point2(0.5, 0.25),
+        seed_exterior=Point2(0.5, 0.75),
+    )
+    est = run_edge(c, cfg)
+    assert est.termination is Termination.FAILED
+    assert "full domain boundary" in est.failure
+    assert est.total_queries == c.query_count
+    assert (
+        est.seed_queries + est.bisection_queries + est.walk_queries
+        == est.total_queries
+    )
+    assert len(est.labels_order) == len(est.inner) + len(est.outer)
+    # the partial lap stays in the estimate, every point with its label
+    on_rim = [p for p in est.inner if p.x in (0.0, 1.0) or p.y in (0.0, 1.0)]
+    assert len(on_rim) >= 0.9 * UNIT_SQUARE.perimeter / 0.05
+    assert all(c.label_fn(p) == 1 for p in est.inner)
+    assert all(c.label_fn(p) == 0 for p in est.outer)
+    assert est.walk_points_appended > len(on_rim)
+    assert run_edge(rim_interior_half_plane(), cfg).points_in_order() == (
+        est.points_in_order()
+    )
+
+
 def test_single_label_domain_reports_no_boundary():
     c = make_classifier(lambda x, y: 1.0, 0.5, UNIT_SQUARE, "allout")
     with pytest.raises(NoBoundaryFoundError):

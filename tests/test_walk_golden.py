@@ -8,18 +8,29 @@ of walk output must re-record them and say so.
 """
 
 import hashlib
+import math
+import random
 
 import pytest
 
+from edgewalk import walk
 from edgewalk.classifier import make_classifier, make_test_classifier
 from edgewalk.cli import _points_csv
 from edgewalk.dcopf import default_network, make_dcopf_classifier
-from edgewalk.geometry import Domain, Point2
+from edgewalk.geometry import Domain, Point2, distance
 from edgewalk.walk import EdgeConfig, Termination, run_edge
 
 
 def _rosenbrock():
     return make_test_classifier("rosenbrock"), EdgeConfig(epsilon=0.05)
+
+
+def _goldstein_price():
+    return make_test_classifier("goldstein-price"), EdgeConfig(epsilon=0.05)
+
+
+def _beale():
+    return make_test_classifier("beale"), EdgeConfig(epsilon=0.05)
 
 
 def _lower_half_strip():
@@ -61,6 +72,18 @@ def _five_bus_study():
             "c99c14ffb09fb673e6b6a7529c466b4a48ae4b382f849ec3c5c3755626c2e9b6",
         ),
         (
+            _goldstein_price,
+            Termination.CLOSED_LOOP,
+            2257,
+            "e714c1b5f38a7d2456e2cd36782703fbe957d3860be13310f6fde75dcfebfa9f",
+        ),
+        (
+            _beale,
+            Termination.CLOSED_LOOP,
+            1904,
+            "3bf7a2c5b7266d8cdae3ca4838e4da1b9e847b7baae0ff7fff56563031610f0b",
+        ),
+        (
             _lower_half_strip,
             Termination.CLOSED_LOOP,
             89,
@@ -79,7 +102,14 @@ def _five_bus_study():
             "ca9d17c53b6993a47ab008f90f36f1ec61d11a6e8cff64e639f42d97a3f6752b",
         ),
     ],
-    ids=["rosenbrock", "lower-half-strip", "rim-heavy-half-plane", "five-bus-study"],
+    ids=[
+        "rosenbrock",
+        "goldstein-price",
+        "beale",
+        "lower-half-strip",
+        "rim-heavy-half-plane",
+        "five-bus-study",
+    ],
 )
 def test_points_csv_is_unchanged(build, termination, queries, digest):
     classifier, config = build()
@@ -88,3 +118,89 @@ def test_points_csv_is_unchanged(build, termination, queries, digest):
     assert est.total_queries == queries
     text = _points_csv(est)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
+
+
+def _random_shapes(seed):
+    """100 half-planes and 50 rotated ellipses over SQUARE, as (fn, threshold, seeds).
+
+    Every 25th half-plane whose foot point lies in the square starts from
+    explicit seeds 2e-10 apart across its line, closer than the domain's
+    geometric tolerance, so its first circle pair is degenerate.
+    """
+    rng = random.Random(seed)
+    shapes = []
+    for i in range(100):
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        a, b = math.cos(theta), math.sin(theta)
+        c = rng.uniform(-0.9, 0.9) * (abs(a) + abs(b))
+        seeds = None
+        foot = Point2(c * a, c * b)
+        if i % 25 == 0 and SQUARE.contains(foot):
+            delta = 1e-10
+            seeds = (
+                Point2(foot.x - delta * a, foot.y - delta * b),
+                Point2(foot.x + delta * a, foot.y + delta * b),
+            )
+        shapes.append(((lambda x, y, a=a, b=b: a * x + b * y), c, seeds))
+    for _ in range(50):
+        cx, cy = rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8)
+        ra, rb = rng.uniform(0.1, 0.6), rng.uniform(0.1, 0.6)
+        phi = rng.uniform(0.0, math.pi)
+        co, si = math.cos(phi), math.sin(phi)
+
+        def fn(x, y, cx=cx, cy=cy, ra=ra, rb=rb, co=co, si=si):
+            dx, dy = x - cx, y - cy
+            u = (dx * co + dy * si) / ra
+            v = (-dx * si + dy * co) / rb
+            return u * u + v * v
+
+        shapes.append((fn, 1.0, None))
+    return shapes
+
+
+def _outcome(classifier, config):
+    """The walk's outcome line, then its points.csv unless it failed.
+
+    A failed walk records only how many queries it spent: when the digest
+    was recorded, a geometric failure raised and left no estimate.
+    """
+    est = run_edge(classifier, config)
+    if est.termination is Termination.FAILED:
+        return f"failed,{est.total_queries}\n"
+    head = (
+        f"{est.termination.value},{est.total_queries},{est.seed_queries},"
+        f"{est.bisection_queries},{est.walk_queries}\n"
+    )
+    return head + _points_csv(est)
+
+
+def test_random_shape_batch_is_unchanged(monkeypatch):
+    degenerate = []
+    general = walk.circle_circle_intersection
+
+    def spy(c1, c2, r, tol):
+        d = distance(c1, c2)
+        if d <= tol or d >= 2.0 * r - tol:
+            degenerate.append(d)
+        return general(c1, c2, r, tol)
+
+    monkeypatch.setattr(walk, "circle_circle_intersection", spy)
+    digest = hashlib.sha256()
+    kinds = []
+    for fn, threshold, seeds in _random_shapes(3):
+        classifier = make_classifier(fn, threshold, SQUARE)
+        config = EdgeConfig(epsilon=0.03)
+        if seeds is not None:
+            config = EdgeConfig(0.03, seed_interior=seeds[0], seed_exterior=seeds[1])
+        text = _outcome(classifier, config)
+        kinds.append(text.split(",", 1)[0])
+        digest.update(text.encode())
+    assert kinds.count("budget_exhausted") >= 1
+    assert kinds.count("failed") >= 1
+    assert degenerate
+    assert digest.hexdigest() == (
+        "08317fd76e68b8e4addfc4a02a94ba07d8dd698d735e03c29b3908fb2436b3ee"
+    )
