@@ -36,7 +36,6 @@ from .grid import GridEstimate, grid_shape, run_grid
 from .marching import marching_squares, polyline_length
 from .metrics import (
     AsdBreakdown,
-    CoverageResult,
     ReferenceBoundary,
     asd_to_reference,
     average_symmetric_distance,
@@ -45,13 +44,10 @@ from .metrics import (
     reference_from_scalar,
 )
 from .walk import (
-    BisectionTrace,
     BoundaryEstimate,
     EdgeConfig,
     Termination,
     bisect,
-    decision_boundary_walk,
-    domain_boundary_walk,
     run_edge,
 )
 
@@ -59,12 +55,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsdBreakdown",
-    "BisectionTrace",
     "BoundaryEstimate",
     "BudgetExhaustedError",
     "CANONICAL_SPECS",
     "Classifier",
-    "CoverageResult",
     "DispatchResult",
     "Domain",
     "EdgeConfig",
@@ -87,10 +81,8 @@ __all__ = [
     "bisect",
     "build_feasibility_lp",
     "coverage_within",
-    "decision_boundary_walk",
     "default_network",
     "dispatch",
-    "domain_boundary_walk",
     "goldstein_price",
     "grid_shape",
     "load_network",

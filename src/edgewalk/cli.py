@@ -10,6 +10,10 @@ Exit codes: 0 on success, 2 when no boundary exists in the domain, 3 when
 the query budget dies first, 4 for bad input, 5 for geometric failures.
 When the budget dies or the geometry fails mid-walk, `run` still writes
 the partial estimate.
+
+`run` formats each probed point's coordinates once, to 17 significant
+digits, for both points.csv and the --log-queries queries.csv, and writes
+each file row by row without holding its whole text.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from io import StringIO
 from pathlib import Path
 
@@ -37,8 +42,6 @@ from .grid import run_grid
 from .metrics import asd_to_reference, reference_from_scalar
 from .svgplot import render_boundary_svg
 from .walk import EdgeConfig, Termination, run_edge
-
-_G = ".17g"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,24 +84,57 @@ def _scalar_spec(spec: str):
     return CANONICAL_SPECS.get(key)
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, lines: Iterable[str]) -> None:
+    """Write lines through a temporary file that then replaces path.
+
+    Lines may be a generator, so a large file's text is never held whole.
+    """
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    with tmp.open("w") as fh:
+        fh.writelines(lines)
     os.replace(tmp, path)
 
 
+# the same bytes as f"{x:.17g},{y:.17g}", in about three quarters of the time
+_XY = "%.17g,%.17g"
+
+
+def _xy_texts(log) -> dict[int, str]:
+    """The "x,y" text of each queried point, keyed by id(point).
+
+    Every estimate point is a queried point object, so points.csv and
+    queries.csv share one formatting pass.  Keys are identities, not
+    values: 0.0 == -0.0, yet the two format differently.  The log keeps the
+    points alive, so no id is reused while the texts are in use.
+    """
+    return {id(p): _XY % p for p, _ in log}
+
+
+def _points_rows(estimate, texts: dict[int, str] | None = None) -> Iterator[str]:
+    """points.csv lines: the estimate's points in append order.
+
+    Points found in texts (from _xy_texts) reuse their text; the rest are
+    formatted here.
+    """
+    get = (texts or {}).get
+    next_inner = iter(estimate.inner).__next__
+    next_outer = iter(estimate.outer).__next__
+    yield "x,y,label,order\n"
+    for order, label in enumerate(estimate.labels_order):
+        p = next_inner() if label == 1 else next_outer()
+        yield f"{get(id(p)) or _XY % p},{label},{order}\n"
+
+
 def _points_csv(estimate) -> str:
-    lines = ["x,y,label,order"]
-    for order, (p, label) in enumerate(estimate.points_in_order()):
-        lines.append(f"{p.x:{_G}},{p.y:{_G}},{label},{order}")
-    return "\n".join(lines) + "\n"
+    """The text of points.csv for an estimate."""
+    return "".join(_points_rows(estimate))
 
 
-def _queries_csv(log) -> str:
-    lines = ["order,x,y,label"]
+def _queries_rows(log, texts: dict[int, str]) -> Iterator[str]:
+    """queries.csv lines: every logged query in order, with texts from _xy_texts."""
+    yield "order,x,y,label\n"
     for order, (p, label) in enumerate(log):
-        lines.append(f"{order},{p.x:{_G}},{p.y:{_G}},{label}")
-    return "\n".join(lines) + "\n"
+        yield f"{order},{texts[id(p)]},{label}\n"
 
 
 def _cmd_run(args) -> int:
@@ -111,7 +147,8 @@ def _cmd_run(args) -> int:
     estimate = run_edge(classifier, config)
     wall = time.perf_counter() - t0
 
-    _atomic_write(out / "points.csv", _points_csv(estimate))
+    texts = _xy_texts(classifier.log) if args.log_queries else None
+    _atomic_write(out / "points.csv", _points_rows(estimate, texts))
     report = {
         "classifier": classifier.name,
         "epsilon": args.epsilon,
@@ -150,11 +187,11 @@ def _cmd_run(args) -> int:
             polylines,
             title=f"{classifier.name}  eps={args.epsilon:g}",
         )
-        _atomic_write(out / "plot.svg", svg)
+        _atomic_write(out / "plot.svg", [svg])
     if args.log_queries:
-        _atomic_write(out / "queries.csv", _queries_csv(classifier.log))
+        _atomic_write(out / "queries.csv", _queries_rows(classifier.log, texts))
 
-    _atomic_write(out / "report.json", json.dumps(report, indent=2) + "\n")
+    _atomic_write(out / "report.json", [json.dumps(report, indent=2) + "\n"])
     print(
         f"{classifier.name}: {estimate.termination.value} after "
         f"{estimate.total_queries} queries "
@@ -234,8 +271,8 @@ def _cmd_compare(args) -> int:
     writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    _atomic_write(out / "table.csv", buf.getvalue())
-    _atomic_write(out / "report.json", json.dumps(rows, indent=2) + "\n")
+    _atomic_write(out / "table.csv", [buf.getvalue()])
+    _atomic_write(out / "report.json", [json.dumps(rows, indent=2) + "\n"])
     print(f"-> {out / 'table.csv'}")
     return 0
 

@@ -14,10 +14,12 @@ along the domain perimeter until the boundary re-enters, then resumes.
 Each step is one pass of float arithmetic: `circle_circle_intersection`
 and `select_forward` compute the next test point between the two circles
 in straight-line code, and the containment, stall and closure tests are
-inline comparisons.  A degenerate pair (tangent circles or numerically
-fused centres) makes them raise the typed errors that trigger one
-re-bisection.  A geometric failure mid-walk ends the walk with
-termination `failed` and keeps the partial estimate.
+inline comparisons.  Each step leaves the pair epsilon apart, and the
+bisection leaves it between epsilon/2 and epsilon apart unless the seeds
+start closer.  So the pair degenerates only when explicit seeds lie within
+the geometric tolerance of each other; `circle_circle_intersection` then
+raises a typed `GeometricFailureError`.  Any geometric failure mid-walk
+ends the walk with termination `failed` and keeps the partial estimate.
 """
 
 from __future__ import annotations
@@ -29,12 +31,10 @@ from enum import Enum
 from .classifier import Classifier
 from .errors import (
     BudgetExhaustedError,
-    CoincidentCentersError,
     FullPerimeterError,
     GeometricFailureError,
     InputError,
     NoBoundaryFoundError,
-    NoForwardCandidateError,
     StalledWalkError,
 )
 from .geometry import (
@@ -320,20 +320,7 @@ def decision_boundary_walk(
     while True:
         try:
             cands = circle_circle_intersection(inner[-1], outer[-1], epsilon, tol)
-            try:
-                x_test = select_forward(inner[-1], outer[-1], cands, tol)
-            except (NoForwardCandidateError, CoincidentCentersError):
-                # Degenerate pair (tangent circles or numerically fused
-                # centers): tighten the bracket further and retry once.
-                sub = bisect(c, inner[-1], outer[-1], epsilon / 2.0, budget)
-                inner.append(sub.inner_end)
-                labels_order.append(1)
-                outer.append(sub.outer_end)
-                labels_order.append(0)
-                cands = circle_circle_intersection(
-                    inner[-1], outer[-1], epsilon, tol
-                )
-                x_test = select_forward(inner[-1], outer[-1], cands, tol)
+            x_test = select_forward(inner[-1], outer[-1], cands, tol)
             x, y = x_test
             if (
                 last_test is not None

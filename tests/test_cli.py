@@ -2,15 +2,19 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgewalk import cli
 from edgewalk.classifier import make_classifier
 from edgewalk.cli import main
-from edgewalk.geometry import Domain
+from edgewalk.geometry import Domain, Point2
+from edgewalk.walk import BoundaryEstimate, Termination
 
 # two buses, ample generation, no line limits: every injection pair balances
 ALL_FEASIBLE_NET = """
@@ -76,6 +80,13 @@ class TestRun:
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "beale", "--epsilon", "0.25", "--out", str(a)]) == 0
         assert main(["run", "beale", "--epsilon", "0.25", "--out", str(b)]) == 0
+        assert (a / "points.csv").read_bytes() == (b / "points.csv").read_bytes()
+
+    def test_query_log_leaves_points_csv_unchanged(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "beale", "--epsilon", "0.1", "--out", str(a)]) == 0
+        argv = ["run", "beale", "--epsilon", "0.1", "--log-queries", "--out", str(b)]
+        assert main(argv) == 0
         assert (a / "points.csv").read_bytes() == (b / "points.csv").read_bytes()
 
     def test_plot_and_query_log(self, tmp_path):
@@ -357,3 +368,101 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (out / "points.csv").exists()
     assert "closed_loop" in proc.stdout
+
+
+# --- CSV writers --------------------------------------------------------------
+
+
+def seed_points_csv(estimate) -> str:
+    """points.csv as first written, one f-string per row: the oracle."""
+    lines = ["x,y,label,order"]
+    for order, (p, label) in enumerate(estimate.points_in_order()):
+        lines.append(f"{p.x:.17g},{p.y:.17g},{label},{order}")
+    return "\n".join(lines) + "\n"
+
+
+def seed_queries_csv(log) -> str:
+    """queries.csv as first written, one f-string per row: the oracle."""
+    lines = ["order,x,y,label"]
+    for order, (p, label) in enumerate(log):
+        lines.append(f"{order},{p.x:.17g},{p.y:.17g},{label}")
+    return "\n".join(lines) + "\n"
+
+
+def _nudged(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# signed zeros, subnormals, extremes, integral values, and values on either
+# side of where %.17g switches to exponent form (exponent -5 and 17)
+SPECIAL = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+    1e300, -1e300, 1e-300, -1e-300, 1.0, -3.0, 2.0**53, 0.1,
+    *_nudged(1e16), *_nudged(1e17), *_nudged(1e-5), *_nudged(1e-4),
+]
+coords = st.one_of(
+    st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False)
+)
+points = st.builds(Point2, coords, coords)
+
+
+@st.composite
+def logs_and_estimates(draw):
+    """A query log and an estimate over it.
+
+    The log may query one point object twice.  The estimate holds logged
+    point objects and fresh ones, including equal-valued copies and points
+    that differ from a logged one only in the sign of a zero.
+    """
+    pool = draw(st.lists(points, min_size=1, max_size=12))
+    log = [
+        (pool[i], draw(st.sampled_from([0, 1])))
+        for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=30))
+    ]
+    picked = []
+    for choice in draw(st.lists(st.integers(0, 3), max_size=30)):
+        if choice < 2 and log:
+            picked.append(log[draw(st.integers(0, len(log) - 1))])
+            if choice == 1:
+                p, label = picked[-1]
+                picked[-1] = (Point2(-p.x if p.x == 0.0 else p.x, p.y), label)
+        elif choice == 2 and log:
+            p, label = log[draw(st.integers(0, len(log) - 1))]
+            picked.append((Point2(*p), label))
+        else:
+            picked.append((draw(points), draw(st.sampled_from([0, 1]))))
+    estimate = BoundaryEstimate(
+        inner=[p for p, label in picked if label == 1],
+        outer=[p for p, label in picked if label == 0],
+        labels_order=[label for _, label in picked],
+        epsilon=0.1,
+        domain=Domain(0.0, 1.0, 0.0, 1.0),
+        termination=Termination.CLOSED_LOOP,
+    )
+    return log, estimate
+
+
+class TestCsvWriters:
+    @settings(max_examples=400, deadline=None)
+    @given(logs_and_estimates())
+    def test_writers_match_seed_f_strings(self, drawn):
+        log, estimate = drawn
+        texts = cli._xy_texts(log)
+        assert "".join(cli._queries_rows(log, texts)) == seed_queries_csv(log)
+        assert "".join(cli._points_rows(estimate, texts)) == seed_points_csv(estimate)
+        assert cli._points_csv(estimate) == seed_points_csv(estimate)
+
+    def test_signed_zero_keeps_its_own_text(self):
+        logged = Point2(0.0, 1.0)
+        log = [(logged, 1), (Point2(2.0, 3.0), 0), (logged, 1)]
+        estimate = BoundaryEstimate(
+            inner=[logged, Point2(-0.0, 1.0)],
+            outer=[log[1][0]],
+            labels_order=[1, 0, 1],
+            epsilon=0.1,
+            domain=Domain(0.0, 1.0, 0.0, 1.0),
+            termination=Termination.CLOSED_LOOP,
+        )
+        text = "".join(cli._points_rows(estimate, cli._xy_texts(log)))
+        assert text == "x,y,label,order\n0,1,1,0\n2,3,0,1\n-0,1,1,2\n"
+        assert text == seed_points_csv(estimate)
