@@ -9,8 +9,8 @@ remaining generators balances the system without violating line limits.
 The power flow is the standard DC approximation: per line, flow times
 reactance equals the angle difference of its end buses; per bus, outgoing
 minus incoming flow equals net injection.  Feasibility is decided by the
-phase-one simplex; the dispatch entry point also runs phase two to get the
-least-cost generator schedule.
+phase-one simplex, on a program prepared once per network; the dispatch
+entry point also runs phase two to get the least-cost generator schedule.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .classifier import Classifier
 from .errors import InputError
 from .geometry import Domain, Point2
-from .simplex import solve_bounded_lp
+from .simplex import BoundedLP, solve_bounded_lp
 
 DEFAULT_NETWORK_RESOURCE = "ieee5_renewables.txt"
 
@@ -213,7 +213,9 @@ class FeasibilityLP:
 
     Variable order: dispatchable generation, then bus angles without the
     reference bus, then line flows.  Rows: one per line tying flow to the
-    angle drop, one per bus balancing power.
+    angle drop, one per bus balancing power.  program is the simplex
+    program over A, lo and hi, prepared once by build_feasibility_lp; it
+    keeps its own copies, so it does not see later writes to these arrays.
     """
 
     network: Network
@@ -223,6 +225,7 @@ class FeasibilityLP:
     hi: np.ndarray
     cost: np.ndarray
     slot_rows: tuple[int, int]
+    program: BoundedLP
 
     def rhs(self, injections: tuple[float, float]) -> np.ndarray:
         b = self.b_base.copy()
@@ -304,15 +307,17 @@ def build_feasibility_lp(net: Network) -> FeasibilityLP:
         hi=hi,
         cost=cost,
         slot_rows=slot_rows,  # type: ignore[arg-type]
+        program=BoundedLP(A, lo, hi),
     )
 
 
 def lp_feasible(lp: FeasibilityLP, injections: tuple[float, float]) -> bool:
-    """Phase-one verdict for one pair of renewable injections."""
-    res = solve_bounded_lp(
-        np.zeros(lp.A.shape[1]), lp.A, lp.rhs(injections), lp.lo, lp.hi
-    )
-    return res.status != "infeasible"
+    """Phase-one verdict for one pair of renewable injections.
+
+    Solves on the network's prepared program and stops at the verdict: no
+    dispatch is computed, and nothing is kept between calls.
+    """
+    return lp.program.feasible(lp.rhs(injections))
 
 
 @dataclass
@@ -357,7 +362,7 @@ def make_dcopf_classifier(net: Network, keep_log: bool = False) -> Classifier:
     domain = net.slot_domain()
 
     def label(p: Point2) -> int:
-        return 1 if lp_feasible(lp, (p.x, p.y)) else 0
+        return 1 if lp_feasible(lp, p) else 0
 
     return Classifier(
         label_fn=label,

@@ -272,6 +272,12 @@ class TestFeasibilityRegion:
         c.query(Point2(9.0, 6.0))
         assert c.query_count == 2
 
+    def test_plain_tuple_and_point_get_the_same_label(self):
+        c = make_dcopf_classifier(default_network())
+        for xy in [(0.4, 4.74), (10.0, 7.0), (0.6, 0.51), (0.6, 0.49)]:
+            assert c.query(xy) == c.query(Point2(*xy))
+        assert c.query_count == 8
+
     def test_verdict_matches_reference_solver(self):
         lp = build_feasibility_lp(default_network())
         bounds = [

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgewalk.dcopf import build_feasibility_lp, default_network, lp_feasible, make_dcopf_classifier
-from edgewalk.errors import SolverError
+from edgewalk.errors import InputError, SolverError
 from edgewalk.geometry import Point2
-from edgewalk.simplex import _PIVOT_EPS, SimplexResult, _validate, solve_bounded_lp
+from edgewalk.simplex import _PIVOT_EPS, BoundedLP, SimplexResult, _validate, solve_bounded_lp
 from edgewalk.walk import EdgeConfig, Termination, run_edge
 
 
@@ -304,3 +304,112 @@ def test_rounding_tie_keeps_status_and_objective():
     seed_solve_bounded_lp(c, A, b, lo, hi, ties)
     assert ties
     assert assert_same_solve(c, A, b, lo, hi, tied_path_allowed=True) == "optimal"
+
+
+# One prepared program serves every query of the study; each of its solves
+# must equal a one-shot solve on fresh arrays, whatever came before it.
+
+
+def _fresh_solve(c, p):
+    b = LP.rhs(p)
+    return solve_bounded_lp(np.array(c), LP.A.copy(), b.copy(), LP.lo.copy(), LP.hi.copy())
+
+
+def _assert_identical(got, want):
+    assert got.status == want.status
+    assert got.iterations == want.iterations
+    assert got.objective == want.objective
+    assert np.array_equal(got.x, want.x)
+
+
+def _study_points():
+    c = make_dcopf_classifier(default_network(), keep_log=True)
+    run_edge(
+        c,
+        EdgeConfig(
+            epsilon=0.1,
+            seed_interior=Point2(0.4, 4.74),
+            seed_exterior=Point2(10.0, 7.0),
+        ),
+    )
+    walk = [(p[0], p[1]) for p, _ in c.log]
+    xs = np.linspace(DOMAIN.x_min, DOMAIN.x_max, 41)
+    ys = np.linspace(DOMAIN.y_min, DOMAIN.y_max, 29)
+    grid = [(float(x), float(y)) for x in xs for y in ys]
+    tie = [(float(p1), 3.1 - float(p1)) for p1 in np.linspace(0.0, 3.1, 63)]
+    assert (len(walk), len(grid), len(tie)) == (281, 1189, 63)
+    return walk + grid + tie
+
+
+def test_prepared_program_matches_one_shot_solves_in_any_order():
+    points = _study_points()
+    zero = np.zeros(LP.A.shape[1])
+    want = {p: _fresh_solve(zero, p) for p in points}
+    shuffled = list(points)
+    np.random.default_rng(11).shuffle(shuffled)
+    program = build_feasibility_lp(default_network()).program
+    for order in (points, shuffled):
+        for p in order:
+            got = program.solve(zero, LP.rhs(p))
+            _assert_identical(got, want[p])
+            assert program.feasible(LP.rhs(p)) == (want[p].status != "infeasible")
+    assert {r.status for r in want.values()} == {"optimal", "infeasible"}
+
+
+def test_interleaved_cost_rows_leave_later_solves_unchanged():
+    rng = np.random.default_rng(5)
+    points = [
+        (float(rng.uniform(DOMAIN.x_min, DOMAIN.x_max)), float(rng.uniform(DOMAIN.y_min, DOMAIN.y_max)))
+        for _ in range(150)
+    ]
+    # the study's phase-one vertex is already cheapest under the dispatch
+    # costs; reversed generator costs make phase two pivot
+    reversed_costs = LP.cost.copy()
+    reversed_costs[:3] = LP.cost[2::-1]
+    costs = {"zero": np.zeros(LP.A.shape[1]), "dispatch": LP.cost, "reversed": reversed_costs}
+    want = {(p, k): _fresh_solve(c, p) for p in points for k, c in costs.items()}
+    calls = list(want)
+    program = LP.program
+    for _ in range(2):
+        rng.shuffle(calls)
+        for p, k in calls:
+            _assert_identical(program.solve(costs[k], LP.rhs(p)), want[p, k])
+    assert any(want[p, "reversed"].iterations > want[p, "zero"].iterations for p in points)
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda b: np.where(np.arange(len(b)) == 3, np.nan, b),
+        lambda b: np.where(np.arange(len(b)) == 0, np.inf, b),
+        lambda b: b[:-1],
+        lambda b: b[:, None],
+        lambda b: np.concatenate([b, [0.0]]),
+        lambda b: 1.0,
+    ],
+    ids=["nan", "inf", "short", "column", "long", "scalar"],
+)
+def test_prepared_program_rejects_bad_right_sides(spoil):
+    program = LP.program
+    good = LP.rhs((0.4, 4.74))
+    with pytest.raises(InputError):
+        program.solve(LP.cost, spoil(good))
+    with pytest.raises(InputError):
+        program.feasible(spoil(good))
+    _assert_identical(program.solve(LP.cost, good), _fresh_solve(LP.cost, (0.4, 4.74)))
+
+
+def test_prepared_program_keeps_read_only_copies():
+    A, lo, hi = LP.A.copy(), LP.lo.copy(), LP.hi.copy()
+    program = BoundedLP(A, lo, hi)
+    b = LP.rhs((0.6, 0.51))
+    want = program.solve(LP.cost, b)
+    A[:] = 0.0
+    lo[:] = -1.0
+    hi[:] = 1.0
+    _assert_identical(program.solve(LP.cost, b), want)
+    for stored in (program.A, program.lo, program.hi):
+        with pytest.raises(ValueError):
+            stored[0] = 0.0
+    with pytest.raises(InputError):
+        program.solve(np.zeros(3), b)
