@@ -72,15 +72,14 @@ class Classifier:
     """Counting wrapper around a black-box label function.
 
     query() is the single choke point for label evaluation: it validates the
-    input, increments the counter, and optionally logs every (point, label)
-    pair.  Queries are issued from one thread; the counter is not locked.
+    input and the label, and increments the counter.  Queries are issued
+    from one thread; the counter is not locked.
     """
 
     label_fn: Callable[[Point2], int]
     domain: Domain
     name: str = "classifier"
     query_count: int = 0
-    log: list[tuple[Point2, int]] | None = None
 
     def query(self, p: Point2) -> int:
         if not (math.isfinite(p[0]) and math.isfinite(p[1])):
@@ -91,14 +90,10 @@ class Classifier:
             raise InputError(f"label function returned {raw!r}, expected 0 or 1")
         label = int(raw)
         self.query_count += 1
-        if self.log is not None:
-            self.log.append((p, label))
         return label
 
     def reset(self) -> None:
         self.query_count = 0
-        if self.log is not None:
-            self.log.clear()
 
 
 def make_classifier(
@@ -106,22 +101,16 @@ def make_classifier(
     threshold: float,
     domain: Domain,
     name: str = "level_set",
-    keep_log: bool = False,
 ) -> Classifier:
     """Binarize a scalar field: label 1 iff fn(x, y) < threshold."""
 
     def label_fn(p: Point2) -> int:
         return 1 if fn(p[0], p[1]) < threshold else 0
 
-    return Classifier(
-        label_fn=label_fn,
-        domain=domain,
-        name=name,
-        log=[] if keep_log else None,
-    )
+    return Classifier(label_fn=label_fn, domain=domain, name=name)
 
 
-def make_test_classifier(name: str, keep_log: bool = False) -> Classifier:
+def make_test_classifier(name: str) -> Classifier:
     """Classifier for one of the canonical benchmark level sets."""
     key = name.replace("-", "_").lower()
     if key not in CANONICAL_SPECS:
@@ -129,4 +118,4 @@ def make_test_classifier(name: str, keep_log: bool = False) -> Classifier:
             f"unknown test function {name!r}; choose from {sorted(CANONICAL_SPECS)}"
         )
     spec = CANONICAL_SPECS[key]
-    return make_classifier(spec.fn, spec.threshold, spec.domain, spec.name, keep_log)
+    return make_classifier(spec.fn, spec.threshold, spec.domain, spec.name)

@@ -11,9 +11,10 @@ the query budget dies first, 4 for bad input, 5 for geometric failures.
 When the budget dies or the geometry fails mid-walk, `run` still writes
 the partial estimate.
 
-`run` formats each probed point's coordinates once, to 17 significant
-digits, for both points.csv and the --log-queries queries.csv, and writes
-each file row by row without holding its whole text.
+`run` keeps the --log-queries log itself, by wrapping the classifier's
+label function.  It formats each probed point's coordinates once, to 17
+significant digits, for both points.csv and queries.csv, and writes each
+file row by row without holding its whole text.
 """
 
 from __future__ import annotations
@@ -70,12 +71,29 @@ def _walk_config(args, epsilon: float) -> EdgeConfig:
     )
 
 
-def _make_classifier(spec: str, keep_log: bool = False) -> Classifier:
+def _make_classifier(spec: str) -> Classifier:
     if spec == "dcopf":
-        return make_dcopf_classifier(default_network(), keep_log)
+        return make_dcopf_classifier(default_network())
     if spec.startswith("dcopf:"):
-        return make_dcopf_classifier(load_network(spec[len("dcopf:"):]), keep_log)
-    return make_test_classifier(spec, keep_log)
+        return make_dcopf_classifier(load_network(spec[len("dcopf:"):]))
+    return make_test_classifier(spec)
+
+
+def _recording(label_fn, log: list):
+    """label_fn, also appending each (point, label) it returns to log.
+
+    The pair is appended before Classifier.query checks the label; a
+    refused label aborts the run before any file is written, so the log
+    that reaches queries.csv holds only accepted queries, in order.
+    """
+    append = log.append
+
+    def label(p):
+        raw = label_fn(p)
+        append((p, raw))
+        return raw
+
+    return label
 
 
 def _scalar_spec(spec: str):
@@ -138,7 +156,10 @@ def _queries_rows(log, texts: dict[int, str]) -> Iterator[str]:
 
 
 def _cmd_run(args) -> int:
-    classifier = _make_classifier(args.classifier, keep_log=args.log_queries)
+    classifier = _make_classifier(args.classifier)
+    log: list[tuple[Point2, int]] = []
+    if args.log_queries:
+        classifier.label_fn = _recording(classifier.label_fn, log)
     config = _walk_config(args, args.epsilon)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -147,7 +168,7 @@ def _cmd_run(args) -> int:
     estimate = run_edge(classifier, config)
     wall = time.perf_counter() - t0
 
-    texts = _xy_texts(classifier.log) if args.log_queries else None
+    texts = _xy_texts(log) if args.log_queries else None
     _atomic_write(out / "points.csv", _points_rows(estimate, texts))
     report = {
         "classifier": classifier.name,
@@ -189,7 +210,7 @@ def _cmd_run(args) -> int:
         )
         _atomic_write(out / "plot.svg", [svg])
     if args.log_queries:
-        _atomic_write(out / "queries.csv", _queries_rows(classifier.log, texts))
+        _atomic_write(out / "queries.csv", _queries_rows(log, texts))
 
     _atomic_write(out / "report.json", [json.dumps(report, indent=2) + "\n"])
     print(

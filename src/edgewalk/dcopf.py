@@ -150,9 +150,10 @@ def parse_network(text: str) -> Network:
         limit = fnum(lineno, toks[3], "limit")
         if limit <= 0:
             raise InputError(f"line {lineno}: limit must be positive or inf")
-        lines.append(
-            Line(known_bus(lineno, toks[0]), known_bus(lineno, toks[1]), x, limit)
-        )
+        from_bus, to_bus = known_bus(lineno, toks[0]), known_bus(lineno, toks[1])
+        if from_bus == to_bus:
+            raise InputError(f"line {lineno}: line joins bus {from_bus} to itself")
+        lines.append(Line(from_bus, to_bus, x, limit))
     if not lines:
         raise InputError("network needs at least one line")
 
@@ -218,7 +219,6 @@ class FeasibilityLP:
     keeps its own copies, so it does not see later writes to these arrays.
     """
 
-    network: Network
     A: np.ndarray
     b_base: np.ndarray
     lo: np.ndarray
@@ -300,7 +300,6 @@ def build_feasibility_lp(net: Network) -> FeasibilityLP:
 
     slot_rows = tuple(nl + bus_index[s.bus] for s in net.slots)
     return FeasibilityLP(
-        network=net,
         A=A,
         b_base=b,
         lo=lo,
@@ -356,7 +355,7 @@ def dispatch(net: Network, injections: tuple[float, float]) -> DispatchResult:
     )
 
 
-def make_dcopf_classifier(net: Network, keep_log: bool = False) -> Classifier:
+def make_dcopf_classifier(net: Network) -> Classifier:
     """Black box labeling injection pairs by grid feasibility."""
     lp = build_feasibility_lp(net)
     domain = net.slot_domain()
@@ -364,9 +363,4 @@ def make_dcopf_classifier(net: Network, keep_log: bool = False) -> Classifier:
     def label(p: Point2) -> int:
         return 1 if lp_feasible(lp, p) else 0
 
-    return Classifier(
-        label_fn=label,
-        domain=domain,
-        name="dcopf",
-        log=[] if keep_log else None,
-    )
+    return Classifier(label_fn=label, domain=domain, name="dcopf")

@@ -57,12 +57,12 @@ class Edge(NamedTuple):
     s_start is the arclength of start; axis is the coordinate the side
     holds constant (1 for the horizontal sides, 0 for the vertical ones).
     The remaining fields are the side's constants in the segment-circle
-    quadratic: the direction (dx, dy) = end - start, a = dx^2 + dy^2, and
-    the tolerance t_tol in units of the segment parameter.
+    quadratic: the direction (dx, dy) from start to the side's other end,
+    a = dx^2 + dy^2, and the tolerance t_tol in units of the segment
+    parameter.
     """
 
     start: Point2
-    end: Point2
     length: float
     s_start: float
     axis: int
@@ -141,17 +141,14 @@ class Domain:
             seg_len = math.sqrt(sq_len)
             t_tol = tol / seg_len if seg_len > 0.0 else 0.0
             edges.append(
-                Edge(a, b, length, s_start, 1 - i % 2, dx, dy, sq_len, t_tol)
+                Edge(a, length, s_start, 1 - i % 2, dx, dy, sq_len, t_tol)
             )
             s_start += length
         return tuple(edges)
 
-    def contains(self, p: Point2, tol: float = 0.0) -> bool:
-        """Closed-rectangle membership, optionally expanded by tol."""
-        return (
-            self.x_min - tol <= p[0] <= self.x_max + tol
-            and self.y_min - tol <= p[1] <= self.y_max + tol
-        )
+    def contains(self, p: Point2) -> bool:
+        """Closed-rectangle membership."""
+        return self.x_min <= p[0] <= self.x_max and self.y_min <= p[1] <= self.y_max
 
     def point_at(self, s: float) -> Point2:
         """Perimeter point at arclength s (wrapped into [0, P))."""
@@ -167,22 +164,6 @@ class Domain:
             return Point2(self.x_max - s, self.y_max)
         s -= w
         return Point2(self.x_min, self.y_max - s)
-
-    def arclength_of(self, p: Point2, tol: float | None = None) -> float:
-        """Arclength of a point lying on the perimeter (within tol)."""
-        if tol is None:
-            tol = self.geom_tol
-        w, h = self.width, self.height
-        x, y = p
-        if abs(y - self.y_min) <= tol and self.x_min - tol <= x <= self.x_max + tol:
-            return (min(max(x - self.x_min, 0.0), w)) % self.perimeter
-        if abs(x - self.x_max) <= tol and self.y_min - tol <= y <= self.y_max + tol:
-            return w + min(max(y - self.y_min, 0.0), h)
-        if abs(y - self.y_max) <= tol and self.x_min - tol <= x <= self.x_max + tol:
-            return w + h + min(max(self.x_max - x, 0.0), w)
-        if abs(x - self.x_min) <= tol and self.y_min - tol <= y <= self.y_max + tol:
-            return (w + h + w + min(max(self.y_max - y, 0.0), h)) % self.perimeter
-        raise InputError(f"point {p} does not lie on the domain perimeter")
 
 
 def circle_circle_intersection(

@@ -11,7 +11,7 @@ cost of querying the full domain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class GridEstimate:
     nx: int
     ny: int
     total_queries: int
-    labels: np.ndarray = field(repr=False)
 
 
 def grid_shape(domain: Domain, epsilon: float) -> tuple[int, int]:
@@ -91,5 +90,4 @@ def run_grid(c: Classifier, epsilon: float) -> GridEstimate:
         nx=nx,
         ny=ny,
         total_queries=total,
-        labels=labels,
     )

@@ -25,6 +25,8 @@ from .geometry import Domain, Point2
 from .marching import marching_squares, polyline_length
 from .walk import BoundaryEstimate
 
+_MIN_COMPONENT_FRACTION = 0.05
+
 
 def _as_array(points) -> np.ndarray:
     a = np.asarray(points, dtype=float)
@@ -65,17 +67,17 @@ def _edge_interior_runs(fn, threshold: float, domain: Domain, cell: float) -> np
     """
     out: list[tuple[float, float]] = []
     corners = domain.corners()
-    for a, b in zip(corners, (*corners[1:], corners[0])):
-        length = math.hypot(b.x - a.x, b.y - a.y)
+    for (ax, ay), (bx, by) in zip(corners, (*corners[1:], corners[0])):
+        length = math.hypot(bx - ax, by - ay)
         n = max(2, math.ceil(length / cell) + 1)
         ts = np.linspace(0.0, 1.0, n)
         vals = np.asarray(
-            fn(a.x + ts * (b.x - a.x), a.y + ts * (b.y - a.y)), dtype=float
+            fn(ax + ts * (bx - ax), ay + ts * (by - ay)), dtype=float
         )
         inside = vals < threshold
 
         def height(t):
-            return float(fn(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))) - threshold
+            return float(fn(ax + t * (bx - ax), ay + t * (by - ay))) - threshold
 
         cuts = [0.0]
         for k in np.nonzero(inside[:-1] != inside[1:])[0].tolist():
@@ -91,12 +93,12 @@ def _edge_interior_runs(fn, threshold: float, domain: Domain, cell: float) -> np
             if hi - lo <= 0.0:
                 continue
             if float(fn(
-                a.x + 0.5 * (lo + hi) * (b.x - a.x),
-                a.y + 0.5 * (lo + hi) * (b.y - a.y),
+                ax + 0.5 * (lo + hi) * (bx - ax),
+                ay + 0.5 * (lo + hi) * (by - ay),
             )) < threshold:
                 m = max(2, math.ceil((hi - lo) * length / cell) + 1)
                 for t in np.linspace(lo, hi, m):
-                    out.append((a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
+                    out.append((ax + t * (bx - ax), ay + t * (by - ay)))
     if not out:
         return np.empty((0, 2), dtype=float)
     return np.array(out, dtype=float)
@@ -107,16 +109,15 @@ def reference_from_scalar(
     threshold: float,
     domain: Domain,
     cell: float,
-    min_component_fraction: float = 0.05,
     include_domain_edges: bool = False,
 ) -> ReferenceBoundary:
     """Contour the scalar field and collect its vertices as a reference.
 
-    Contour pieces shorter than min_component_fraction of the longest
-    piece are dropped; they are below the resolution an epsilon-stepping
-    estimate can see and would skew the symmetric distance.  With
-    include_domain_edges the perimeter stretches running through the
-    interior are appended, giving the full boundary of the clipped region.
+    Contour pieces shorter than 5% of the longest piece are dropped; they
+    are below the resolution an epsilon-stepping estimate can see and
+    would skew the symmetric distance.  With include_domain_edges the
+    perimeter stretches running through the interior are appended, giving
+    the full boundary of the clipped region.
     """
     polylines = marching_squares(fn, threshold, domain, cell)
     lengths = [polyline_length(p) for p in polylines]
@@ -126,7 +127,7 @@ def reference_from_scalar(
         kept = [
             p
             for p, ln in zip(polylines, lengths)
-            if ln >= min_component_fraction * longest
+            if ln >= _MIN_COMPONENT_FRACTION * longest
         ]
     chunks = []
     for p in kept:
@@ -166,7 +167,7 @@ def reference_from_estimate(estimate: BoundaryEstimate) -> ReferenceBoundary:
     for p, lab in pts[1:]:
         partner = latest.get(1 - lab)
         if partner is not None:
-            mids.append(((p.x + partner.x) / 2.0, (p.y + partner.y) / 2.0))
+            mids.append(((p[0] + partner[0]) / 2.0, (p[1] + partner[1]) / 2.0))
         latest[lab] = p
     return ReferenceBoundary(
         points=np.array(mids, dtype=float),

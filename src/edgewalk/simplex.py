@@ -34,6 +34,9 @@ import numpy as np
 from .errors import InputError, SolverError
 
 _PIVOT_EPS = 1e-10
+# optimality and feasibility tolerance, and the pivot limit of one solve
+_TOL = 1e-7
+_MAX_ITER = 10000
 
 
 @dataclass
@@ -44,7 +47,7 @@ class SimplexResult:
     iterations: int
 
 
-def _pivot(T, x, basis, sense, lo, hi, tol, max_iter):
+def _pivot(T, x, basis, sense, lo, hi, max_iter):
     """Pivot until optimal; returns iterations used, or -1 when unbounded.
 
     T is the tableau B^-1 A with the reduced costs as its last row, x the
@@ -56,11 +59,12 @@ def _pivot(T, x, basis, sense, lo, hi, tol, max_iter):
     m = len(basis)
     rows = range(m)
     columns = range(len(sense))
+    neg_tol = -_TOL
     for it in range(max_iter):
         # Bland: the lowest-index column whose reduced cost improves
         d = T[m].tolist()
         for entering in columns:
-            if d[entering] * sense[entering] < -tol:
+            if d[entering] * sense[entering] < neg_tol:
                 break
         else:
             return it
@@ -198,7 +202,7 @@ class BoundedLP:
         self._hi1 = tuple(self.hi.tolist() + [math.inf] * m)
         self._sense = tuple(np.where(self.hi > self.lo, 1.0, 0.0).tolist() + [0.0] * m)
 
-    def _phase_one(self, b, tol, max_iter):
+    def _phase_one(self, b):
         b = _validate_rhs(b, self.shape[0])
         m, n = self.shape
         residual = b - self._A_lo
@@ -213,22 +217,22 @@ class BoundedLP:
         x1 = self._lo_list + np.abs(residual).tolist()
         basis = list(range(n, n + m))
         sense = list(self._sense)
-        used = _pivot(T, x1, basis, sense, self._lo1, self._hi1, tol, max_iter)
+        used = _pivot(T, x1, basis, sense, self._lo1, self._hi1, _MAX_ITER)
         x = _basic_values(A1, b1, x1, basis)
         return A1, b1, T, x, basis, sense, used, float(x[n:].sum())
 
-    def feasible(self, b, tol: float = 1e-7, max_iter: int = 10000) -> bool:
+    def feasible(self, b) -> bool:
         """Phase-one verdict: whether some x meets A @ x == b within the bounds."""
-        art_sum = self._phase_one(b, tol, max_iter)[-1]
+        art_sum = self._phase_one(b)[-1]
         # the negation of solve's infeasible test, NaN included
-        return not art_sum > tol
+        return not art_sum > _TOL
 
-    def solve(self, c, b, tol: float = 1e-7, max_iter: int = 10000) -> SimplexResult:
+    def solve(self, c, b) -> SimplexResult:
         """Minimize c @ x subject to A @ x == b and lo <= x <= hi."""
         m, n = self.shape
         c = _validate_cost(c, n)
-        A1, b1, T, x, basis, sense, used, art_sum = self._phase_one(b, tol, max_iter)
-        if art_sum > tol:
+        A1, b1, T, x, basis, sense, used, art_sum = self._phase_one(b)
+        if art_sum > _TOL:
             return SimplexResult(
                 status="infeasible",
                 x=x[:n].copy(),
@@ -247,7 +251,7 @@ class BoundedLP:
             c2 = np.concatenate([c, np.zeros(m)])
             T[m] = c2 - c2[basis] @ T[:m]
             x1 = x.tolist()
-            used2 = _pivot(T, x1, basis, sense, self._lo1, hi1, tol, max_iter - used)
+            used2 = _pivot(T, x1, basis, sense, self._lo1, hi1, _MAX_ITER - used)
             x = _basic_values(A1, b1, x1, basis)
         if used2 == -1:
             return SimplexResult(
@@ -265,6 +269,6 @@ class BoundedLP:
         )
 
 
-def solve_bounded_lp(c, A, b, lo, hi, tol: float = 1e-7, max_iter: int = 10000) -> SimplexResult:
+def solve_bounded_lp(c, A, b, lo, hi) -> SimplexResult:
     """Minimize c @ x subject to A @ x == b and lo <= x <= hi."""
-    return BoundedLP(A, lo, hi).solve(c, b, tol, max_iter)
+    return BoundedLP(A, lo, hi).solve(c, b)

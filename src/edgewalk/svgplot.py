@@ -13,6 +13,7 @@ _INNER_COLOR = "#2a6fb0"
 _OUTER_COLOR = "#c23f38"
 _REF_COLOR = "#999999"
 _MARGIN = 34.0
+_WIDTH = 720
 
 
 def _fmt(v: float) -> str:
@@ -25,10 +26,9 @@ def render_boundary_svg(
     outer,
     polylines=(),
     title: str = "",
-    width: int = 720,
 ) -> str:
     """Return SVG text for one estimate over its domain."""
-    plot_w = width - 2.0 * _MARGIN
+    plot_w = _WIDTH - 2.0 * _MARGIN
     plot_h = plot_w * domain.height / domain.width
     height = plot_h + 2.0 * _MARGIN
 
@@ -40,16 +40,16 @@ def render_boundary_svg(
         return _MARGIN + (domain.y_max - y) / domain.height * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
-        f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.0f}" '
+        f'height="{height:.0f}" viewBox="0 0 {_WIDTH:.0f} {height:.0f}">',
+        f'<rect x="0" y="0" width="{_WIDTH:.0f}" height="{height:.0f}" fill="white"/>',
         f'<rect x="{sx(domain.x_min):.2f}" y="{sy(domain.y_max):.2f}" '
         f'width="{plot_w:.2f}" height="{plot_h:.2f}" '
         f'fill="none" stroke="#333" stroke-width="1"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="{_MARGIN * 0.6:.1f}" '
+            f'<text x="{_WIDTH / 2:.1f}" y="{_MARGIN * 0.6:.1f}" '
             f'text-anchor="middle" font-family="sans-serif" '
             f'font-size="13">{title}</text>'
         )

@@ -82,12 +82,6 @@ class TestClassifier:
         c.reset()
         assert c.query_count == 0
 
-    def test_query_log_records_points_and_labels(self):
-        c = make_test_classifier("rosenbrock", keep_log=True)
-        c.query(Point2(1.0, 1.0))
-        c.query(Point2(5.0, -1.0))
-        assert c.log == [(Point2(1.0, 1.0), 1), (Point2(5.0, -1.0), 0)]
-
     def test_rejects_non_finite_points(self):
         c = make_test_classifier("rosenbrock")
         with pytest.raises(InputError):

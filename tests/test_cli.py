@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgewalk import cli
-from edgewalk.classifier import make_classifier
+from edgewalk.classifier import Classifier, make_classifier
 from edgewalk.cli import main
 from edgewalk.geometry import Domain, Point2
 from edgewalk.walk import BoundaryEstimate, Termination
@@ -54,8 +54,8 @@ def rim_interior(monkeypatch):
         on_rim = x <= 0.0 or x >= 1.0 or y <= 0.0 or y >= 1.0
         return -1.0 if on_rim else y
 
-    def build(spec, keep_log=False):
-        return make_classifier(fn, 0.5, Domain(0.0, 1.0, 0.0, 1.0), spec, keep_log)
+    def build(spec):
+        return make_classifier(fn, 0.5, Domain(0.0, 1.0, 0.0, 1.0), spec)
 
     monkeypatch.setattr(cli, "_make_classifier", build)
     return ["--seed-in", "0.5,0.25", "--seed-out", "0.5,0.75"]
@@ -88,6 +88,33 @@ class TestRun:
         argv = ["run", "beale", "--epsilon", "0.1", "--log-queries", "--out", str(b)]
         assert main(argv) == 0
         assert (a / "points.csv").read_bytes() == (b / "points.csv").read_bytes()
+
+    def test_queries_csv_lists_every_query_in_order(self, tmp_path, monkeypatch):
+        recorded = []
+
+        def label_fn(p):
+            label = 1 if p[0] ** 2 + p[1] ** 2 < 0.25 else 0
+            recorded.append((p[0], p[1], label))
+            return label
+
+        def build(spec):
+            return Classifier(label_fn, Domain(-1.0, 1.0, -1.0, 1.0), spec)
+
+        monkeypatch.setattr(cli, "_make_classifier", build)
+        out = tmp_path / "log"
+        argv = ["run", "disc", "--epsilon", "0.1", "--log-queries", "--out", str(out)]
+        assert main(argv) == 0
+        rows = read_csv(out / "queries.csv")
+        assert [int(r["order"]) for r in rows] == list(range(len(recorded)))
+        assert [(float(r["x"]), float(r["y"]), int(r["label"])) for r in rows] == recorded
+        report = json.loads((out / "report.json").read_text())
+        assert report["total_queries"] == len(recorded)
+
+        recorded.clear()
+        bare = tmp_path / "bare"
+        assert main(["run", "disc", "--epsilon", "0.1", "--out", str(bare)]) == 0
+        assert len(recorded) == len(rows)
+        assert not (bare / "queries.csv").exists()
 
     def test_plot_and_query_log(self, tmp_path):
         out = tmp_path / "o"

@@ -197,6 +197,11 @@ class TestNetworkParsing:
         with pytest.raises(InputError, match="limit must be positive"):
             parse_network(net_text(lines="1  2  0.1  inf\n2  3  0.2  -3.0"))
 
+    def test_self_loop_line_rejected(self):
+        # a line from a bus to itself would break the angle and balance rows
+        with pytest.raises(InputError, match="line 9: line joins bus 2 to itself"):
+            parse_network(net_text(lines="1  2  0.1  inf\n2  2  0.05  0.5\n2  3  0.2  3.0"))
+
     def test_infinite_demand_rejected(self):
         with pytest.raises(InputError, match="demand must be finite"):
             parse_network(net_text(loads="3  inf"))

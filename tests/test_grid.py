@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edgewalk.classifier import make_classifier, make_test_classifier
+from edgewalk.cli import _recording
 from edgewalk.errors import InputError
 from edgewalk.geometry import Domain, Point2
 from edgewalk.grid import GridEstimate, grid_shape, run_grid
@@ -34,9 +35,11 @@ def test_hand_worked_three_by_three():
 
 def test_queries_scan_rows_bottom_up():
     dom = Domain(0.0, 1.0, 0.0, 1.0)
-    c = make_classifier(lambda x, y: x + y, 0.75, dom, "diag", keep_log=True)
+    c = make_classifier(lambda x, y: x + y, 0.75, dom, "diag")
+    log = []
+    c.label_fn = _recording(c.label_fn, log)
     run_grid(c, 0.5)
-    seen = [p for p, _ in c.log]
+    seen = [p for p, _ in log]
     assert seen[:4] == [
         Point2(0.0, 0.0),
         Point2(0.5, 0.0),

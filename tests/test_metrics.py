@@ -10,6 +10,7 @@ from edgewalk.errors import (
     ReferenceResolutionError,
 )
 from edgewalk.geometry import Domain, Point2
+from edgewalk.marching import marching_squares, polyline_length
 from edgewalk.metrics import (
     asd_to_reference,
     average_symmetric_distance,
@@ -85,18 +86,21 @@ class TestScalarReference:
     def test_component_filter_drops_short_pieces(self):
         d = Domain(-4.0, 4.0, -2.0, 2.0)
 
-        def two_discs(x, y):
+        def three_discs(x, y):
+            # radii 1, 0.1 and 0.04: the small circles are 10% and 4% as long;
+            # the smallest is centred on a node the contouring always samples
             a = (x + 2.0) ** 2 + y**2 - 1.0
-            b = (x - 2.0) ** 2 + y**2 - 0.01
-            return np.minimum(a, b)
+            b = (x - 2.0) ** 2 + y**2 - 0.1**2
+            c = x**2 + (y - 1.2) ** 2 - 0.04**2
+            return np.minimum(np.minimum(a, b), c)
 
-        both = reference_from_scalar(two_discs, 0.0, d, 0.02)
-        assert len(both.polylines) == 2
-        main = reference_from_scalar(
-            two_discs, 0.0, d, 0.02, min_component_fraction=0.2
-        )
-        assert len(main.polylines) == 1
-        assert (main.points[:, 0] < 0.0).all()
+        pieces = marching_squares(three_discs, 0.0, d, 0.02)
+        lengths = sorted(polyline_length(p) for p in pieces)
+        assert len(lengths) == 3
+        assert lengths[0] < 0.05 * lengths[2] < lengths[1]
+        ref = reference_from_scalar(three_discs, 0.0, d, 0.02)
+        assert sorted(polyline_length(p) for p in ref.polylines) == lengths[1:]
+        assert (np.hypot(ref.points[:, 0], ref.points[:, 1] - 1.2) > 0.5).all()
 
     def test_domain_edge_runs_complete_the_region_boundary(self):
         d = Domain(0.0, 1.0, 0.0, 1.0)

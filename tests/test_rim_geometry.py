@@ -364,7 +364,7 @@ def test_cached_constants_match_their_formulas():
         Point2(-3.0, 4.5),
     )
     assert [e.start for e in d.edges] == list(cs)
-    assert [e.end for e in d.edges] == [cs[1], cs[2], cs[3], cs[0]]
+    assert [(e.dx, e.dy) for e in d.edges] == [(8.0, 0.0), (0.0, 2.5), (-8.0, 0.0), (0.0, -2.5)]
     assert [e.length for e in d.edges] == [8.0, 2.5, 8.0, 2.5]
     assert [e.s_start for e in d.edges] == [0.0, 8.0, 10.5, 18.5]
     assert [e.axis for e in d.edges] == [1, 0, 1, 0]

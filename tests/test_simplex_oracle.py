@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgewalk.cli import _recording
 from edgewalk.dcopf import build_feasibility_lp, default_network, lp_feasible, make_dcopf_classifier
 from edgewalk.errors import InputError, SolverError
 from edgewalk.geometry import Point2
@@ -180,7 +181,9 @@ def assert_same_label(p):
 
 
 def test_study_queries_match_seed_solver():
-    c = make_dcopf_classifier(default_network(), keep_log=True)
+    c = make_dcopf_classifier(default_network())
+    log = []
+    c.label_fn = _recording(c.label_fn, log)
     est = run_edge(
         c,
         EdgeConfig(
@@ -190,8 +193,8 @@ def test_study_queries_match_seed_solver():
         ),
     )
     assert est.termination is Termination.CLOSED_LOOP
-    assert len(c.log) == 281
-    for p, label in c.log:
+    assert len(log) == 281
+    for p, label in log:
         assert assert_same_label((p.x, p.y)) == bool(label)
 
 
@@ -323,7 +326,9 @@ def _assert_identical(got, want):
 
 
 def _study_points():
-    c = make_dcopf_classifier(default_network(), keep_log=True)
+    c = make_dcopf_classifier(default_network())
+    log = []
+    c.label_fn = _recording(c.label_fn, log)
     run_edge(
         c,
         EdgeConfig(
@@ -332,7 +337,7 @@ def _study_points():
             seed_exterior=Point2(10.0, 7.0),
         ),
     )
-    walk = [(p[0], p[1]) for p, _ in c.log]
+    walk = [(p[0], p[1]) for p, _ in log]
     xs = np.linspace(DOMAIN.x_min, DOMAIN.x_max, 41)
     ys = np.linspace(DOMAIN.y_min, DOMAIN.y_max, 29)
     grid = [(float(x), float(y)) for x in xs for y in ys]
