@@ -47,7 +47,6 @@ from .walk import (
     BoundaryEstimate,
     EdgeConfig,
     Termination,
-    bisect,
     run_edge,
 )
 
@@ -78,7 +77,6 @@ __all__ = [
     "asd_to_reference",
     "average_symmetric_distance",
     "beale",
-    "bisect",
     "build_feasibility_lp",
     "coverage_within",
     "default_network",

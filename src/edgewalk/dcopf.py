@@ -25,7 +25,8 @@ import numpy as np
 from .classifier import Classifier
 from .errors import InputError
 from .geometry import Domain, Point2
-from .simplex import BoundedLP, solve_bounded_lp
+# solve_bounded_lp stays importable here: bench/tracing.py wraps dcopf.solve_bounded_lp
+from .simplex import BoundedLP, solve_bounded_lp  # noqa: F401
 
 DEFAULT_NETWORK_RESOURCE = "ieee5_renewables.txt"
 
@@ -215,14 +216,11 @@ class FeasibilityLP:
     Variable order: dispatchable generation, then bus angles without the
     reference bus, then line flows.  Rows: one per line tying flow to the
     angle drop, one per bus balancing power.  program is the simplex
-    program over A, lo and hi, prepared once by build_feasibility_lp; it
-    keeps its own copies, so it does not see later writes to these arrays.
+    program over the constraint matrix and the variable bounds, prepared
+    once by build_feasibility_lp; program.A, .lo and .hi hold them.
     """
 
-    A: np.ndarray
     b_base: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
     cost: np.ndarray
     slot_rows: tuple[int, int]
     program: BoundedLP
@@ -300,10 +298,7 @@ def build_feasibility_lp(net: Network) -> FeasibilityLP:
 
     slot_rows = tuple(nl + bus_index[s.bus] for s in net.slots)
     return FeasibilityLP(
-        A=A,
         b_base=b,
-        lo=lo,
-        hi=hi,
         cost=cost,
         slot_rows=slot_rows,  # type: ignore[arg-type]
         program=BoundedLP(A, lo, hi),
@@ -331,7 +326,7 @@ class DispatchResult:
 def dispatch(net: Network, injections: tuple[float, float]) -> DispatchResult:
     """Least-cost generator schedule for fixed renewable injections."""
     lp = build_feasibility_lp(net)
-    res = solve_bounded_lp(lp.cost, lp.A, lp.rhs(injections), lp.lo, lp.hi)
+    res = lp.program.solve(lp.cost, lp.rhs(injections))
     if res.status == "infeasible":
         return DispatchResult(False, None, [], [], {})
     ng = len(net.generators)

@@ -46,11 +46,6 @@ def midpoint(a: Point2, b: Point2) -> Point2:
     return Point2(0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
 
 
-def cross(o: Point2, a: Point2, b: Point2) -> float:
-    """Cross product of (a - o) x (b - o); positive when o->a->b turns left."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 class Edge(NamedTuple):
     """One side of a domain, directed counter-clockwise.
 
@@ -149,21 +144,6 @@ class Domain:
     def contains(self, p: Point2) -> bool:
         """Closed-rectangle membership."""
         return self.x_min <= p[0] <= self.x_max and self.y_min <= p[1] <= self.y_max
-
-    def point_at(self, s: float) -> Point2:
-        """Perimeter point at arclength s (wrapped into [0, P))."""
-        s = s % self.perimeter
-        w, h = self.width, self.height
-        if s <= w:
-            return Point2(self.x_min + s, self.y_min)
-        s -= w
-        if s <= h:
-            return Point2(self.x_max, self.y_min + s)
-        s -= h
-        if s <= w:
-            return Point2(self.x_max - s, self.y_max)
-        s -= w
-        return Point2(self.x_min, self.y_max - s)
 
 
 def circle_circle_intersection(

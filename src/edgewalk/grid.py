@@ -24,8 +24,6 @@ from .geometry import Domain, Point2
 class GridEstimate:
     inner: list[Point2]
     outer: list[Point2]
-    epsilon: float
-    domain: Domain
     nx: int
     ny: int
     total_queries: int
@@ -85,8 +83,6 @@ def run_grid(c: Classifier, epsilon: float) -> GridEstimate:
     return GridEstimate(
         inner=collect(inner_mask),
         outer=collect(outer_mask),
-        epsilon=epsilon,
-        domain=domain,
         nx=nx,
         ny=ny,
         total_queries=total,

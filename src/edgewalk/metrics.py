@@ -21,7 +21,7 @@ from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
 from .errors import EmptyContourError, InputError, ReferenceResolutionError
-from .geometry import Domain, Point2
+from .geometry import Domain
 from .marching import marching_squares, polyline_length
 from .walk import BoundaryEstimate
 
@@ -45,7 +45,6 @@ class ReferenceBoundary:
 
     points: np.ndarray
     slack: float
-    domain: Domain
     polylines: list[np.ndarray] = field(default_factory=list)
     source: str = "scalar"
     _tree: cKDTree | None = field(default=None, repr=False)
@@ -146,7 +145,6 @@ def reference_from_scalar(
     return ReferenceBoundary(
         points=np.vstack(chunks),
         slack=cell,
-        domain=domain,
         polylines=kept,
         source="scalar",
     )
@@ -172,7 +170,6 @@ def reference_from_estimate(estimate: BoundaryEstimate) -> ReferenceBoundary:
     return ReferenceBoundary(
         points=np.array(mids, dtype=float),
         slack=estimate.epsilon / 2.0,
-        domain=estimate.domain,
         source="blackbox",
     )
 

@@ -7,7 +7,7 @@ markup is assembled directly so the CLI stays light.
 
 from __future__ import annotations
 
-from .geometry import Domain, Point2
+from .geometry import Domain
 
 _INNER_COLOR = "#2a6fb0"
 _OUTER_COLOR = "#c23f38"

@@ -11,21 +11,27 @@ decision boundary between them.
 When a test point falls outside the domain, the walk switches to stepping
 along the domain perimeter until the boundary re-enters, then resumes.
 
+`run_edge` builds one `_Budget` per run and threads it through the seed
+scan, the bisection, the walk and the perimeter steps: it is their only
+handle on the oracle and the domain, so every query of a run passes
+through `_Budget.query`, and `run_edge` builds the estimate once, with its
+per-phase counts.
+
 Each step is one pass of float arithmetic: `circle_circle_intersection`
 and `select_forward` compute the next test point between the two circles
 in straight-line code, and the containment, stall and closure tests are
 inline comparisons.  Each step leaves the pair epsilon apart, and the
 bisection leaves it between epsilon/2 and epsilon apart unless the seeds
-start closer.  So the pair degenerates only when explicit seeds lie within
-the geometric tolerance of each other; `circle_circle_intersection` then
-raises a typed `GeometricFailureError`.  Any geometric failure mid-walk
-ends the walk with termination `failed` and keeps the partial estimate.
+start closer; `EdgeConfig.validate_for` refuses explicit seeds within the
+geometric tolerance of each other, so the pair never degenerates.  Any
+geometric failure mid-walk ends the walk with termination `failed` and
+keeps the partial estimate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .classifier import Classifier
@@ -82,6 +88,15 @@ class EdgeConfig:
         for seed in (self.seed_interior, self.seed_exterior):
             if seed is not None and not domain.contains(Point2(*seed)):
                 raise InputError(f"seed {seed} lies outside the domain")
+        if self.seed_interior is not None and self.seed_exterior is not None:
+            gap = distance(self.seed_interior, self.seed_exterior)
+            # a pair this close has no circle intersection to step to
+            if gap <= domain.geom_tol:
+                raise InputError(
+                    f"seeds {self.seed_interior} and {self.seed_exterior} are "
+                    f"{gap:g} apart, within the geometric tolerance "
+                    f"{domain.geom_tol:g}"
+                )
         if self.max_queries is not None and self.max_queries < 1:
             raise InputError(f"max_queries must be positive, got {self.max_queries}")
 
@@ -89,31 +104,6 @@ class EdgeConfig:
         if self.max_queries is not None:
             return self.max_queries
         return math.ceil(10.0 * domain.perimeter / self.epsilon)
-
-
-@dataclass
-class BisectionTrace:
-    """All points queried while tightening a seed pair.
-
-    inner[0] and outer[0] are the seeds; inner[-1] and outer[-1] are the
-    refined endpoints, strictly less than epsilon apart on return.
-    """
-
-    inner: list[Point2]
-    outer: list[Point2]
-    queries: int = 0
-
-    @property
-    def inner_end(self) -> Point2:
-        return self.inner[-1]
-
-    @property
-    def outer_end(self) -> Point2:
-        return self.outer[-1]
-
-    @property
-    def gap(self) -> float:
-        return distance(self.inner_end, self.outer_end)
 
 
 @dataclass
@@ -130,13 +120,12 @@ class BoundaryEstimate:
     outer: list[Point2]
     labels_order: list[int]
     epsilon: float
-    domain: Domain
     termination: Termination
-    total_queries: int = 0
-    seed_queries: int = 0
-    bisection_queries: int = 0
-    walk_queries: int = 0
-    failure: str | None = None
+    total_queries: int
+    seed_queries: int
+    bisection_queries: int
+    walk_queries: int
+    failure: str | None
 
     def points_in_order(self) -> list[tuple[Point2, int]]:
         """All estimate points as (point, label), in append order."""
@@ -155,13 +144,18 @@ class BoundaryEstimate:
 
 
 class _Budget:
-    """Query gate: counts oracle calls and enforces an optional cap."""
+    """The run's query gate: counts oracle calls and enforces the cap.
 
-    def __init__(self, classifier: Classifier, max_queries: int | None):
+    run_edge builds one per run and passes it to every step, which reads
+    the domain from it and queries only through query().
+    """
+
+    def __init__(self, classifier: Classifier, max_queries: int):
         self.classifier = classifier
+        self.domain = classifier.domain
         self.max_queries = max_queries
         self.start = classifier.query_count
-        self.limit = math.inf if max_queries is None else self.start + max_queries
+        self.limit = self.start + max_queries
 
     @property
     def used(self) -> int:
@@ -175,44 +169,32 @@ class _Budget:
         return self.classifier.query(p)
 
 
-def bisect(
-    c: Classifier,
-    x_in0: Point2,
-    x_out0: Point2,
-    epsilon: float,
-    budget: _Budget | None = None,
-) -> BisectionTrace:
+def _bisect(
+    budget: _Budget, x_in: Point2, x_out: Point2, epsilon: float
+) -> tuple[Point2, Point2]:
     """Shrink an opposite-label pair until the endpoints are within epsilon.
 
-    The caller vouches for the seed labels (they are not re-queried here).
-    Each iteration queries the midpoint of the current pair and replaces the
-    endpoint of matching label, halving the gap; the loop runs while the gap
-    is at least epsilon.
+    The caller vouches for the seed labels (they are not re-queried here)
+    and for a positive epsilon.  Each iteration queries the midpoint of the
+    current pair and replaces the endpoint of matching label, halving the
+    gap; the loop runs while the gap is at least epsilon.  Returns the
+    refined (inner, outer) pair.
     """
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
-        raise InputError(f"epsilon must be positive and finite, got {epsilon}")
-    if budget is None:
-        budget = _Budget(c, None)
-    inner = [Point2(*x_in0)]
-    outer = [Point2(*x_out0)]
-    queries = 0
-    while distance(inner[-1], outer[-1]) >= epsilon:
-        m = midpoint(inner[-1], outer[-1])
+    while distance(x_in, x_out) >= epsilon:
+        m = midpoint(x_in, x_out)
         if budget.query(m) == 0:
-            outer.append(m)
+            x_out = m
         else:
-            inner.append(m)
-        queries += 1
-    return BisectionTrace(inner=inner, outer=outer, queries=queries)
+            x_in = m
+    return x_in, x_out
 
 
 def domain_boundary_walk(
-    c: Classifier,
+    budget: _Budget,
     inner: list[Point2],
     outer: list[Point2],
     labels_order: list[int],
     epsilon: float,
-    budget: _Budget | None = None,
 ) -> int:
     """Step along the domain perimeter until the interior set ends.
 
@@ -223,9 +205,7 @@ def domain_boundary_walk(
     points, until the first exterior point is found and appended.  Returns
     the number of points appended.
     """
-    if budget is None:
-        budget = _Budget(c, None)
-    domain = c.domain
+    domain = budget.domain
     tol = domain.geom_tol
     period = domain.perimeter
     cands = perimeter_circle_intersection(domain, inner[-1], epsilon)
@@ -280,43 +260,38 @@ def domain_boundary_walk(
 
 
 def decision_boundary_walk(
-    c: Classifier,
-    trace: BisectionTrace,
-    config: EdgeConfig,
-    budget: _Budget | None = None,
-) -> BoundaryEstimate:
+    budget: _Budget,
+    inner: list[Point2],
+    outer: list[Point2],
+    labels_order: list[int],
+    epsilon: float,
+) -> tuple[Termination, str | None]:
     """Trace the boundary in epsilon steps from a tightened bracket.
 
-    Each step intersects the epsilon-circles around the latest inner and
-    outer points and queries the intersection lying ahead of the pair (on
-    the left of the inner-to-outer direction).  The queried point joins the
-    set matching its label.  Off-domain test points trigger a perimeter
-    walk.  The loop closes once the walk has first escaped the start
+    inner and outer hold the bracket pair on entry; the walk appends to
+    them and to labels_order.  Each step intersects the epsilon-circles
+    around the latest inner and outer points and queries the intersection
+    lying ahead of the pair (on the left of the inner-to-outer direction).
+    The queried point joins the set matching its label.  Off-domain test
+    points trigger a perimeter walk.  The loop closes once the walk has first escaped the start
     bracket (beyond two epsilon) and the latest point then returns to
     within epsilon of a start point; walks on features too small to escape
     run until the budget ends.  A budget death or a geometric failure ends
-    the walk with the points found so far, termination budget_exhausted or
-    failed.
+    the walk with the points found so far.  Returns the termination and,
+    for failed, the failure message.
     """
-    epsilon = config.epsilon
-    domain = c.domain
+    domain = budget.domain
     tol = domain.geom_tol
-    if budget is None:
-        budget = _Budget(c, config.budget_for(domain))
     query = budget.query
     hypot = math.hypot
     x_lo, x_hi = domain.x_min - tol, domain.x_max + tol
     y_lo, y_hi = domain.y_min - tol, domain.y_max + tol
-    inner = [trace.inner_end]
-    outer = [trace.outer_end]
-    labels_order = [1, 0]
     (xi0, yi0), (xo0, yo0) = inner[0], outer[0]
     steps = 0
     last_test: Point2 | None = None
     escaped = False
     termination = Termination.CLOSED_LOOP
     failure = None
-    walk_start = budget.used
     while True:
         try:
             cands = circle_circle_intersection(inner[-1], outer[-1], epsilon, tol)
@@ -340,7 +315,7 @@ def decision_boundary_walk(
                 steps += 1
             else:
                 steps += domain_boundary_walk(
-                    c, inner, outer, labels_order, epsilon, budget
+                    budget, inner, outer, labels_order, epsilon
                 )
                 x, y = outer[-1]
                 last_test = None
@@ -366,26 +341,17 @@ def decision_boundary_walk(
                 break
         elif back_dist > 2.0 * epsilon:
             escaped = True
-    return BoundaryEstimate(
-        inner=inner,
-        outer=outer,
-        labels_order=labels_order,
-        epsilon=epsilon,
-        domain=domain,
-        termination=termination,
-        walk_queries=budget.used - walk_start,
-        failure=failure,
-    )
+    return termination, failure
 
 
-def _seed_search(c: Classifier, config: EdgeConfig, budget: _Budget) -> tuple[Point2, Point2]:
+def _seed_search(budget: _Budget, epsilon: float) -> tuple[Point2, Point2]:
     """Find one point of each label by a deterministic coarse-to-fine scan.
 
     Queries the corners, then the center, then cell centers of 2^k x 2^k
     grids of increasing k, stopping as soon as both labels have been seen.
     Returns the closest opposite-label pair among all points scanned.
     """
-    domain = c.domain
+    domain = budget.domain
     points: list[Point2] = []
     labels: list[int] = []
     seen = set()
@@ -403,10 +369,10 @@ def _seed_search(c: Classifier, config: EdgeConfig, budget: _Budget) -> tuple[Po
         k = 1
         while len(seen) < 2:
             n = 2 ** k
-            if max(domain.width, domain.height) / n < config.epsilon:
+            if max(domain.width, domain.height) / n < epsilon:
                 raise NoBoundaryFoundError(
                     f"single-label domain down to cells finer than epsilon "
-                    f"({config.epsilon}); no boundary to trace"
+                    f"({epsilon}); no boundary to trace"
                 )
             found = False
             for j in range(n):
@@ -449,9 +415,9 @@ def run_edge(c: Classifier, config: EdgeConfig) -> BoundaryEstimate:
     estimate with termination budget_exhausted, and a geometric failure
     during the walk returns it with termination failed.
     """
-    domain = c.domain
-    config.validate_for(domain)
-    budget = _Budget(c, config.budget_for(domain))
+    config.validate_for(c.domain)
+    epsilon = config.epsilon
+    budget = _Budget(c, config.budget_for(c.domain))
     if config.seed_interior is not None and config.seed_exterior is not None:
         x_in = Point2(*config.seed_interior)
         x_out = Point2(*config.seed_exterior)
@@ -460,13 +426,23 @@ def run_edge(c: Classifier, config: EdgeConfig) -> BoundaryEstimate:
         if budget.query(x_out) != 0:
             raise InputError(f"exterior seed {x_out} has label 1")
     else:
-        x_in, x_out = _seed_search(c, config, budget)
+        x_in, x_out = _seed_search(budget, epsilon)
     seed_queries = budget.used
-    trace = bisect(c, x_in, x_out, config.epsilon, budget)
+    x_in, x_out = _bisect(budget, x_in, x_out, epsilon)
     bisection_queries = budget.used - seed_queries
-    est = decision_boundary_walk(c, trace, config, budget)
-    est.seed_queries = seed_queries
-    est.bisection_queries = bisection_queries
-    est.total_queries = budget.used
-    return est
-
+    inner, outer, labels_order = [x_in], [x_out], [1, 0]
+    termination, failure = decision_boundary_walk(
+        budget, inner, outer, labels_order, epsilon
+    )
+    return BoundaryEstimate(
+        inner=inner,
+        outer=outer,
+        labels_order=labels_order,
+        epsilon=epsilon,
+        termination=termination,
+        total_queries=budget.used,
+        seed_queries=seed_queries,
+        bisection_queries=bisection_queries,
+        walk_queries=budget.used - seed_queries - bisection_queries,
+        failure=failure,
+    )

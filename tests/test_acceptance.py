@@ -25,7 +25,7 @@ from edgewalk.metrics import (
     reference_from_scalar,
 )
 from edgewalk.grid import run_grid
-from edgewalk.walk import EdgeConfig, Termination, bisect, run_edge
+from edgewalk.walk import EdgeConfig, Termination, run_edge
 
 CASES = [
     ("rosenbrock", 0.1),
@@ -192,12 +192,18 @@ def test_bisection_query_count_follows_halving_law():
             a, b = b, a
         c.reset()
         d0 = math.hypot(a.x - b.x, a.y - b.y)
-        tr = bisect(c, a, b, eps)
         want = 0 if d0 < eps else math.ceil(math.log2(d0 / eps))
-        assert tr.queries == want, (
-            f"pair {d0:.6f} apart at eps {eps}: {tr.queries} queries, "
-            f"expected {want}"
+        # the two seed checks and the bisection use the whole budget, so the
+        # walk's first query ends the run
+        cfg = EdgeConfig(eps, seed_interior=a, seed_exterior=b, max_queries=2 + want)
+        est = run_edge(c, cfg)
+        assert est.bisection_queries == want, (
+            f"pair {d0:.6f} apart at eps {eps}: {est.bisection_queries} "
+            f"queries, expected {want}"
         )
+        assert est.walk_queries == 0
+        assert math.dist(est.inner[0], est.outer[0]) < eps
+        assert field(*est.inner[0]) < 0.0 <= field(*est.outer[0])
         checked += 1
 
 
@@ -246,15 +252,15 @@ def test_five_bus_study_counts_and_hull_purity():
 
 def test_network_verdicts_match_reference_solver():
     lp = build_feasibility_lp(default_network())
-    bounds = [(l, h if np.isfinite(h) else None) for l, h in zip(lp.lo, lp.hi)]
+    bounds = [(l, h if np.isfinite(h) else None) for l, h in zip(lp.program.lo, lp.program.hi)]
     rng = np.random.default_rng(515253)
     disagreements = 0
     for _ in range(200):
         p = (rng.uniform(0.0, 10.0), rng.uniform(0.0, 7.0))
         mine = lp_feasible(lp, p)
         ref = linprog(
-            np.zeros(lp.A.shape[1]),
-            A_eq=lp.A,
+            np.zeros(lp.program.A.shape[1]),
+            A_eq=lp.program.A,
             b_eq=lp.rhs(p),
             bounds=bounds,
             method="highs",

@@ -225,6 +225,27 @@ class TestRun:
         )
         assert rc == 4
 
+    def test_seeds_within_geometric_tolerance_are_input_error(self, tmp_path, capsys):
+        # 1e-9 apart on rosenbrock's domain, whose tolerance is about 1.7e-8
+        out = tmp_path / "o"
+        rc = main(
+            [
+                "run",
+                "rosenbrock",
+                "--epsilon",
+                "0.1",
+                "--seed-in",
+                "1,1",
+                "--seed-out",
+                "1,1.000000001",
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 4
+        assert "geometric tolerance" in capsys.readouterr().err
+        assert not (out / "points.csv").exists()
+
     def test_malformed_point_is_input_error(self, tmp_path):
         rc = main(
             [
@@ -463,8 +484,12 @@ def logs_and_estimates(draw):
         outer=[p for p, label in picked if label == 0],
         labels_order=[label for _, label in picked],
         epsilon=0.1,
-        domain=Domain(0.0, 1.0, 0.0, 1.0),
         termination=Termination.CLOSED_LOOP,
+        total_queries=len(log),
+        seed_queries=0,
+        bisection_queries=0,
+        walk_queries=len(log),
+        failure=None,
     )
     return log, estimate
 
@@ -487,8 +512,12 @@ class TestCsvWriters:
             outer=[log[1][0]],
             labels_order=[1, 0, 1],
             epsilon=0.1,
-            domain=Domain(0.0, 1.0, 0.0, 1.0),
             termination=Termination.CLOSED_LOOP,
+            total_queries=3,
+            seed_queries=0,
+            bisection_queries=0,
+            walk_queries=3,
+            failure=None,
         )
         text = "".join(cli._points_rows(estimate, cli._xy_texts(log)))
         assert text == "x,y,label,order\n0,1,1,0\n2,3,0,1\n-0,1,1,2\n"

@@ -286,7 +286,7 @@ class TestFeasibilityRegion:
     def test_verdict_matches_reference_solver(self):
         lp = build_feasibility_lp(default_network())
         bounds = [
-            (l, h if np.isfinite(h) else None) for l, h in zip(lp.lo, lp.hi)
+            (l, h if np.isfinite(h) else None) for l, h in zip(lp.program.lo, lp.program.hi)
         ]
         rng = np.random.default_rng(91)
         disagreements = 0
@@ -294,8 +294,8 @@ class TestFeasibilityRegion:
             p = (rng.uniform(0.0, 10.0), rng.uniform(0.0, 7.0))
             mine = lp_feasible(lp, p)
             ref = linprog(
-                np.zeros(lp.A.shape[1]),
-                A_eq=lp.A,
+                np.zeros(lp.program.A.shape[1]),
+                A_eq=lp.program.A,
                 b_eq=lp.rhs(p),
                 bounds=bounds,
                 method="highs",
@@ -334,12 +334,12 @@ class TestDispatch:
         net = default_network()
         lp = build_feasibility_lp(net)
         bounds = [
-            (l, h if np.isfinite(h) else None) for l, h in zip(lp.lo, lp.hi)
+            (l, h if np.isfinite(h) else None) for l, h in zip(lp.program.lo, lp.program.hi)
         ]
         for inj in [(0.4, 4.74), (1.0, 3.0), (2.0, 1.0)]:
             d = dispatch(net, inj)
             ref = linprog(
-                lp.cost, A_eq=lp.A, b_eq=lp.rhs(inj), bounds=bounds, method="highs"
+                lp.cost, A_eq=lp.program.A, b_eq=lp.rhs(inj), bounds=bounds, method="highs"
             )
             assert ref.status == 0 and d.feasible
             assert d.cost == pytest.approx(ref.fun, rel=1e-8, abs=1e-8)

@@ -12,7 +12,6 @@ from edgewalk.geometry import (
     Domain,
     Point2,
     circle_circle_intersection,
-    cross,
     distance,
     midpoint,
     perimeter_circle_intersection,
@@ -26,14 +25,6 @@ def test_point_basics():
     b = Point2(3.0, 4.0)
     assert distance(a, b) == 5.0
     assert midpoint(a, b) == Point2(1.5, 2.0)
-
-
-def test_cross_sign_is_left_turn():
-    o = Point2(0.0, 0.0)
-    a = Point2(1.0, 0.0)
-    assert cross(o, a, Point2(1.0, 1.0)) > 0
-    assert cross(o, a, Point2(1.0, -1.0)) < 0
-    assert cross(o, a, Point2(2.0, 0.0)) == 0.0
 
 
 class TestDomain:
@@ -68,18 +59,6 @@ class TestDomain:
         assert d.contains(Point2(1.0, 1.0))
         assert not d.contains(Point2(1.0 + 1e-6, 0.5))
         assert not d.contains(Point2(0.5, -1e-6))
-
-    def test_point_at_walks_edges_counterclockwise(self):
-        d = Domain(0.0, 2.0, 0.0, 1.0)
-        assert d.point_at(0.0) == Point2(0.0, 0.0)
-        assert d.point_at(1.0) == Point2(1.0, 0.0)
-        assert d.point_at(2.0) == Point2(2.0, 0.0)
-        assert d.point_at(2.5) == Point2(2.0, 0.5)
-        assert d.point_at(4.0) == Point2(1.0, 1.0)
-        assert d.point_at(5.5) == Point2(0.0, 0.5)
-        # wraps modulo the perimeter
-        assert d.point_at(6.0 + 1.0) == Point2(1.0, 0.0)
-        assert d.point_at(-1.0) == Point2(0.0, 1.0)
 
 
 class TestCircleCircleIntersection:
@@ -151,12 +130,22 @@ class TestPerimeterCircleIntersection:
     def test_center_circle_hits_all_four_edges(self):
         d = Domain(0.0, 2.0, 0.0, 2.0)
         hits = perimeter_circle_intersection(d, Point2(1.0, 1.0), 1.2)
+        # each side is cut h either side of its midpoint, side k at s = 2k + 1
+        h = math.sqrt(1.2**2 - 1.0)
+        want = [
+            (Point2(1.0 - h, 0.0), 1.0 - h),
+            (Point2(1.0 + h, 0.0), 1.0 + h),
+            (Point2(2.0, 1.0 - h), 3.0 - h),
+            (Point2(2.0, 1.0 + h), 3.0 + h),
+            (Point2(1.0 + h, 2.0), 5.0 - h),
+            (Point2(1.0 - h, 2.0), 5.0 + h),
+            (Point2(0.0, 1.0 + h), 7.0 - h),
+            (Point2(0.0, 1.0 - h), 7.0 + h),
+        ]
         assert len(hits) == 8
-        ss = [s for _, s in hits]
-        assert ss == sorted(ss)
-        for p, s in hits:
-            assert distance(p, Point2(1.0, 1.0)) == pytest.approx(1.2, abs=1e-9)
-            assert d.point_at(s) == pytest.approx(p, abs=1e-9)
+        for (p, s), (want_p, want_s) in zip(hits, want):
+            assert p == pytest.approx(want_p, abs=1e-12)
+            assert s == pytest.approx(want_s, abs=1e-12)
 
     def test_corner_crossings_deduplicate(self):
         # circle through two opposite corners of the unit square

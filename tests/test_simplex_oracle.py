@@ -175,8 +175,8 @@ DOMAIN = default_network().slot_domain()
 def assert_same_label(p):
     """Same phase-one verdict, and the same least-cost dispatch."""
     b = LP.rhs(p)
-    status = assert_same_solve(np.zeros(LP.A.shape[1]), LP.A, b, LP.lo, LP.hi)
-    assert_same_solve(LP.cost, LP.A, b, LP.lo, LP.hi)
+    status = assert_same_solve(np.zeros(LP.program.A.shape[1]), LP.program.A, b, LP.program.lo, LP.program.hi)
+    assert_same_solve(LP.cost, LP.program.A, b, LP.program.lo, LP.program.hi)
     return status != "infeasible"
 
 
@@ -213,7 +213,7 @@ def test_tie_line_keeps_labels_and_pivot_counts():
     for p1 in np.linspace(0.0, 3.1, 63):
         p = (float(p1), 3.1 - float(p1))
         ties = []
-        seed_solve_bounded_lp(np.zeros(LP.A.shape[1]), LP.A, LP.rhs(p), LP.lo, LP.hi, ties)
+        seed_solve_bounded_lp(np.zeros(LP.program.A.shape[1]), LP.program.A, LP.rhs(p), LP.program.lo, LP.program.hi, ties)
         tied += bool(ties)
         assert assert_same_label(p)
     assert tied > 0
@@ -315,7 +315,7 @@ def test_rounding_tie_keeps_status_and_objective():
 
 def _fresh_solve(c, p):
     b = LP.rhs(p)
-    return solve_bounded_lp(np.array(c), LP.A.copy(), b.copy(), LP.lo.copy(), LP.hi.copy())
+    return solve_bounded_lp(np.array(c), LP.program.A.copy(), b.copy(), LP.program.lo.copy(), LP.program.hi.copy())
 
 
 def _assert_identical(got, want):
@@ -348,7 +348,7 @@ def _study_points():
 
 def test_prepared_program_matches_one_shot_solves_in_any_order():
     points = _study_points()
-    zero = np.zeros(LP.A.shape[1])
+    zero = np.zeros(LP.program.A.shape[1])
     want = {p: _fresh_solve(zero, p) for p in points}
     shuffled = list(points)
     np.random.default_rng(11).shuffle(shuffled)
@@ -371,7 +371,7 @@ def test_interleaved_cost_rows_leave_later_solves_unchanged():
     # costs; reversed generator costs make phase two pivot
     reversed_costs = LP.cost.copy()
     reversed_costs[:3] = LP.cost[2::-1]
-    costs = {"zero": np.zeros(LP.A.shape[1]), "dispatch": LP.cost, "reversed": reversed_costs}
+    costs = {"zero": np.zeros(LP.program.A.shape[1]), "dispatch": LP.cost, "reversed": reversed_costs}
     want = {(p, k): _fresh_solve(c, p) for p in points for k, c in costs.items()}
     calls = list(want)
     program = LP.program
@@ -405,7 +405,7 @@ def test_prepared_program_rejects_bad_right_sides(spoil):
 
 
 def test_prepared_program_keeps_read_only_copies():
-    A, lo, hi = LP.A.copy(), LP.lo.copy(), LP.hi.copy()
+    A, lo, hi = LP.program.A.copy(), LP.program.lo.copy(), LP.program.hi.copy()
     program = BoundedLP(A, lo, hi)
     b = LP.rhs((0.6, 0.51))
     want = program.solve(LP.cost, b)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from edgewalk.classifier import make_classifier, make_test_classifier
+from edgewalk.cli import _recording
 from edgewalk.errors import (
     BudgetExhaustedError,
     FullPerimeterError,
@@ -14,8 +17,7 @@ from edgewalk.geometry import Domain, Point2, distance
 from edgewalk.walk import (
     EdgeConfig,
     Termination,
-    bisect,
-    decision_boundary_walk,
+    _Budget,
     domain_boundary_walk,
     run_edge,
 )
@@ -28,26 +30,50 @@ def unit_circle_classifier():
     return make_classifier(lambda x, y: x * x + y * y, 1.0, dom, "circle")
 
 
+def bisect_only(c, x_in, x_out, eps, expected):
+    """run_edge from explicit seeds with a budget of seeds plus expected.
+
+    The bisection spends exactly expected queries, so the walk's first
+    query exhausts the budget and est.inner[0], est.outer[0] is the
+    refined pair.
+    """
+    cfg = EdgeConfig(
+        eps, seed_interior=x_in, seed_exterior=x_out, max_queries=2 + expected
+    )
+    est = run_edge(c, cfg)
+    assert est.walk_queries == 0
+    assert est.total_queries == c.query_count == 2 + est.bisection_queries
+    return est
+
+
 class TestBisect:
     def test_hand_worked_linear_case(self):
         # boundary at x = 0.7, seeds 1.0 apart, epsilon 0.1:
         # midpoints 0.5, 0.75, 0.625, 0.6875 then the gap is 0.0625
         c = make_classifier(lambda x, y: x, 0.7, UNIT_SQUARE, "ramp")
-        tr = bisect(c, Point2(0.0, 0.0), Point2(1.0, 0.0), 0.1)
-        assert tr.queries == 4
-        assert c.query_count == 4
-        assert tr.inner_end == Point2(0.6875, 0.0)
-        assert tr.outer_end == Point2(0.75, 0.0)
-        assert tr.gap == pytest.approx(0.0625)
-        assert [p.x for p in tr.inner] == [0.0, 0.5, 0.625, 0.6875]
-        assert [p.x for p in tr.outer] == [1.0, 0.75]
+        asked = []
+        c.label_fn = _recording(c.label_fn, asked)
+        est = bisect_only(c, Point2(0.0, 0.0), Point2(1.0, 0.0), 0.1, 4)
+        assert est.termination is Termination.BUDGET_EXHAUSTED
+        assert est.bisection_queries == 4
+        assert [(p.x, label) for p, label in asked[2:]] == [
+            (0.5, 1),
+            (0.75, 0),
+            (0.625, 1),
+            (0.6875, 1),
+        ]
+        assert all(p.y == 0.0 for p, _ in asked)
+        assert est.inner[0] == Point2(0.6875, 0.0)
+        assert est.outer[0] == Point2(0.75, 0.0)
+        assert distance(est.inner[0], est.outer[0]) == pytest.approx(0.0625)
 
     def test_no_queries_when_pair_already_tight(self):
         c = make_classifier(lambda x, y: x, 0.7, UNIT_SQUARE, "ramp")
-        tr = bisect(c, Point2(0.69, 0.0), Point2(0.71, 0.0), 0.1)
-        assert tr.queries == 0
-        assert c.query_count == 0
-        assert tr.inner_end == Point2(0.69, 0.0)
+        est = bisect_only(c, Point2(0.69, 0.0), Point2(0.71, 0.0), 0.1, 0)
+        assert est.bisection_queries == 0
+        assert c.query_count == 2
+        assert est.inner[0] == Point2(0.69, 0.0)
+        assert est.outer[0] == Point2(0.71, 0.0)
 
     def test_query_count_follows_halving_law(self):
         # on any oracle the gap halves per query, so the count is exactly
@@ -73,15 +99,21 @@ class TestBisect:
             d0 = distance(x_in, x_out)
             expected = 0 if d0 < eps else math.ceil(math.log2(d0 / eps))
             c = make_classifier(f, c0, dom, "plane")
-            tr = bisect(c, x_in, x_out, eps)
-            assert tr.queries == expected
-            assert tr.gap < eps
-            assert f(*tr.inner_end) < c0 <= f(*tr.outer_end)
+            est = bisect_only(c, x_in, x_out, eps, expected)
+            assert est.bisection_queries == expected
+            assert distance(est.inner[0], est.outer[0]) < eps
+            assert f(*est.inner[0]) < c0 <= f(*est.outer[0])
 
     def test_rejects_bad_epsilon(self):
+        # run_edge refuses epsilon 0 before bisecting, where halving the
+        # gap would never end
         c = make_classifier(lambda x, y: x, 0.7, UNIT_SQUARE, "ramp")
+        cfg = EdgeConfig(
+            0.0, seed_interior=Point2(0.0, 0.0), seed_exterior=Point2(1.0, 0.0)
+        )
         with pytest.raises(InputError):
-            bisect(c, Point2(0.0, 0.0), Point2(1.0, 0.0), 0.0)
+            run_edge(c, cfg)
+        assert c.query_count == 0
 
 
 class TestUnitCircleWalk:
@@ -190,7 +222,7 @@ def test_domain_walk_raises_after_full_lap():
     outer = [Point2(0.5, 0.06)]
     labels = [1, 0]
     with pytest.raises(FullPerimeterError):
-        domain_boundary_walk(c, inner, outer, labels, 0.05)
+        domain_boundary_walk(_Budget(c, 1000), inner, outer, labels, 0.05)
 
 
 def rim_interior_half_plane():
@@ -281,6 +313,8 @@ def test_config_validation():
     with pytest.raises(InputError):
         EdgeConfig(epsilon=-0.1).validate_for(dom)
     with pytest.raises(InputError):
+        EdgeConfig(epsilon=0.0).validate_for(dom)
+    with pytest.raises(InputError):
         EdgeConfig(epsilon=0.1, seed_interior=Point2(0.0, 0.0)).validate_for(dom)
     with pytest.raises(InputError):
         EdgeConfig(epsilon=0.1, max_queries=0).validate_for(dom)
@@ -290,6 +324,19 @@ def test_config_validation():
             seed_interior=Point2(0.0, 0.0),
             seed_exterior=Point2(3.0, 0.0),
         ).validate_for(dom)
+    # seeds closer than the domain's geometric tolerance, about 5.7e-9 here,
+    # leave the first step no circle intersection
+    with pytest.raises(InputError, match="geometric tolerance"):
+        EdgeConfig(
+            epsilon=0.1,
+            seed_interior=Point2(0.0, 0.0),
+            seed_exterior=Point2(0.0, 5e-9),
+        ).validate_for(dom)
+    EdgeConfig(
+        epsilon=0.1,
+        seed_interior=Point2(0.0, 0.0),
+        seed_exterior=Point2(0.0, 1e-8),
+    ).validate_for(dom)
 
 
 def test_default_budget_scales_with_perimeter():
@@ -304,3 +351,67 @@ def test_benchmark_walk_regression():
     assert est.termination is Termination.CLOSED_LOOP
     assert 800 < est.total_queries < 1200
     assert est.seed_queries + est.bisection_queries + est.walk_queries == est.total_queries
+
+
+# --- property: walks on generated shapes clipped by the domain ----------------
+
+SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
+
+
+@st.composite
+def clipped_shapes(draw):
+    """(field, threshold) of a half-plane or a rotated ellipse over SQUARE.
+
+    Either may run off the square, so walks meet the rim and its corners.
+    """
+    if draw(st.booleans()):
+        theta = draw(st.floats(0.0, 2.0 * math.pi))
+        a, b = math.cos(theta), math.sin(theta)
+        c = draw(st.floats(-0.9, 0.9)) * (abs(a) + abs(b))
+        return (lambda x, y: a * x + b * y), c
+    cx, cy = draw(st.floats(-0.8, 0.8)), draw(st.floats(-0.8, 0.8))
+    ra, rb = draw(st.floats(0.1, 0.6)), draw(st.floats(0.1, 0.6))
+    phi = draw(st.floats(0.0, math.pi))
+    co, si = math.cos(phi), math.sin(phi)
+
+    def fn(x, y):
+        dx, dy = x - cx, y - cy
+        u = (dx * co + dy * si) / ra
+        v = (-dx * si + dy * co) / rb
+        return u * u + v * v
+
+    return fn, 1.0
+
+
+def on_rim(p, dom):
+    return p[0] in (dom.x_min, dom.x_max) or p[1] in (dom.y_min, dom.y_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(clipped_shapes(), st.floats(0.02, 0.2))
+def test_walk_on_clipped_shapes_keeps_its_guarantees(shape, eps):
+    fn, threshold = shape
+    c = make_classifier(fn, threshold, SQUARE)
+    try:
+        est = run_edge(c, EdgeConfig(epsilon=eps))
+    except NoBoundaryFoundError:
+        reject()
+    assert all(fn(*p) < threshold for p in est.inner)
+    assert all(fn(*p) >= threshold for p in est.outer)
+    assert est.total_queries == c.query_count
+    assert (
+        est.seed_queries + est.bisection_queries + est.walk_queries
+        == est.total_queries
+    )
+    # every appended point brackets the boundary with the latest point of
+    # the other label, except interior points the rim walk steps along
+    reach = eps * (1.0 + 1e-12) + SQUARE.geom_tol
+    pts = est.points_in_order()
+    latest = {1: pts[0][0], 0: pts[1][0]}
+    assert distance(latest[1], latest[0]) < eps
+    for p, lab in pts[2:]:
+        if not (lab == 1 and on_rim(p, SQUARE)):
+            assert distance(p, latest[1 - lab]) <= reach
+        latest[lab] = p
+    again = run_edge(make_classifier(fn, threshold, SQUARE), EdgeConfig(epsilon=eps))
+    assert again.points_in_order() == pts

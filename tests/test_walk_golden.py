@@ -13,11 +13,11 @@ import random
 
 import pytest
 
-from edgewalk import walk
 from edgewalk.classifier import make_classifier, make_test_classifier
 from edgewalk.cli import _points_csv
 from edgewalk.dcopf import default_network, make_dcopf_classifier
-from edgewalk.geometry import Domain, Point2, distance
+from edgewalk.errors import InputError
+from edgewalk.geometry import Domain, Point2
 from edgewalk.walk import EdgeConfig, Termination, run_edge
 
 
@@ -128,7 +128,7 @@ def _random_shapes(seed):
 
     Every 25th half-plane whose foot point lies in the square starts from
     explicit seeds 2e-10 apart across its line, closer than the domain's
-    geometric tolerance, so its first circle pair is degenerate.
+    geometric tolerance, which run_edge refuses as an InputError.
     """
     rng = random.Random(seed)
     shapes = []
@@ -162,14 +162,11 @@ def _random_shapes(seed):
 
 
 def _outcome(classifier, config):
-    """The walk's outcome line, then its points.csv unless it failed.
-
-    A failed walk records only how many queries it spent: when the digest
-    was recorded, a geometric failure raised and left no estimate.
-    """
-    est = run_edge(classifier, config)
-    if est.termination is Termination.FAILED:
-        return f"failed,{est.total_queries}\n"
+    """The walk's outcome line, then its points.csv; refused input, one line."""
+    try:
+        est = run_edge(classifier, config)
+    except InputError:
+        return f"InputError,{classifier.query_count}\n"
     head = (
         f"{est.termination.value},{est.total_queries},{est.seed_queries},"
         f"{est.bisection_queries},{est.walk_queries}\n"
@@ -177,17 +174,7 @@ def _outcome(classifier, config):
     return head + _points_csv(est)
 
 
-def test_random_shape_batch_is_unchanged(monkeypatch):
-    degenerate = []
-    general = walk.circle_circle_intersection
-
-    def spy(c1, c2, r, tol):
-        d = distance(c1, c2)
-        if d <= tol or d >= 2.0 * r - tol:
-            degenerate.append(d)
-        return general(c1, c2, r, tol)
-
-    monkeypatch.setattr(walk, "circle_circle_intersection", spy)
+def test_random_shape_batch_is_unchanged():
     digest = hashlib.sha256()
     kinds = []
     for fn, threshold, seeds in _random_shapes(3):
@@ -199,8 +186,7 @@ def test_random_shape_batch_is_unchanged(monkeypatch):
         kinds.append(text.split(",", 1)[0])
         digest.update(text.encode())
     assert kinds.count("budget_exhausted") >= 1
-    assert kinds.count("failed") >= 1
-    assert degenerate
+    assert kinds.count("InputError") == 4
     assert digest.hexdigest() == (
-        "08317fd76e68b8e4addfc4a02a94ba07d8dd698d735e03c29b3908fb2436b3ee"
+        "42fa225804b6578703cd3b9481347b2e6669e2f348273c144260dd4a128befcd"
     )
