@@ -40,6 +40,7 @@ from .errors import (
 )
 from .geometry import Point2
 from .grid import run_grid
+from .marching import check_cell
 from .metrics import asd_to_reference, reference_from_scalar
 from .svgplot import render_boundary_svg
 from .walk import EdgeConfig, Termination, run_edge
@@ -156,6 +157,15 @@ def _queries_rows(log, texts: dict[int, str]) -> Iterator[str]:
 
 
 def _cmd_run(args) -> int:
+    # a bad --reference-cell is refused before the walk spends any query
+    if args.reference_cell is not None:
+        spec = _scalar_spec(args.classifier)
+        if spec is None:
+            raise InputError(
+                "no scalar reference available for this classifier; "
+                "--reference-cell only applies to the built-in level sets"
+            )
+        check_cell(args.reference_cell)
     classifier = _make_classifier(args.classifier)
     log: list[tuple[Point2, int]] = []
     if args.log_queries:
@@ -185,12 +195,6 @@ def _cmd_run(args) -> int:
 
     polylines = []
     if args.reference_cell is not None:
-        spec = _scalar_spec(args.classifier)
-        if spec is None:
-            raise InputError(
-                "no scalar reference available for this classifier; "
-                "--reference-cell only applies to the built-in level sets"
-            )
         reference = reference_from_scalar(
             spec.fn, spec.threshold, classifier.domain, args.reference_cell
         )

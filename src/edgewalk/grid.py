@@ -17,7 +17,7 @@ import numpy as np
 
 from .classifier import Classifier
 from .errors import InputError
-from .geometry import Domain, Point2
+from .geometry import Domain, Point2, _new_point
 
 
 @dataclass
@@ -43,11 +43,13 @@ def run_grid(c: Classifier, epsilon: float) -> GridEstimate:
     domain = c.domain
     nx, ny = grid_shape(domain, epsilon)
     start = c.query_count
-    labels = np.zeros((ny, nx), dtype=np.int8)
+    xs = [domain.x_min + i * epsilon for i in range(nx)]
+    query = c.query
+    rows = []
     for j in range(ny):
         y = domain.y_min + j * epsilon
-        for i in range(nx):
-            labels[j, i] = c.query(Point2(domain.x_min + i * epsilon, y))
+        rows.append([query(_new_point(Point2, (x, y))) for x in xs])
+    labels = np.array(rows, dtype=np.int8)
     total = c.query_count - start
 
     interior = labels == 1

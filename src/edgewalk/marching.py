@@ -65,10 +65,15 @@ for _case, _segs in {
     _SEGMENTS[_case, : len(_segs)] = _segs
 
 
-def node_axes(domain: Domain, cell: float) -> tuple[np.ndarray, np.ndarray]:
-    """Grid node coordinates covering the domain at spacing at most cell."""
+def check_cell(cell: float) -> None:
+    """Refuse a grid cell size that is not positive and finite."""
     if not (cell > 0.0 and math.isfinite(cell)):
         raise InputError(f"cell must be positive and finite, got {cell}")
+
+
+def node_axes(domain: Domain, cell: float) -> tuple[np.ndarray, np.ndarray]:
+    """Grid node coordinates covering the domain at spacing at most cell."""
+    check_cell(cell)
     nx = max(1, math.ceil(domain.width / cell - 1e-9))
     ny = max(1, math.ceil(domain.height / cell - 1e-9))
     xs = np.linspace(domain.x_min, domain.x_max, nx + 1)

@@ -9,21 +9,30 @@ The headline metric is the average symmetric distance between an estimate
 side and the reference: the mean of all nearest-neighbor distances taken
 in both directions.  An estimate is scored as the sum over its inner and
 outer sides.
+
+Only scoring needs scipy, and it loads on first use, not with the
+package: `scipy.spatial` at the first KD-tree (`asd_to_reference`,
+`average_symmetric_distance`, `coverage_within`,
+`ReferenceBoundary.nn_distances`), and `scipy.optimize` only for
+`reference_from_scalar` with `include_domain_edges=True`.  Walks, grids,
+classifiers, the DC-OPF oracle and contouring run on numpy alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.spatial import cKDTree
 
 from .errors import EmptyContourError, InputError, ReferenceResolutionError
 from .geometry import Domain
 from .marching import marching_squares, polyline_length
 from .walk import BoundaryEstimate
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 _MIN_COMPONENT_FRACTION = 0.05
 
@@ -33,6 +42,14 @@ def _as_array(points) -> np.ndarray:
     if a.ndim != 2 or a.shape[1] != 2 or a.shape[0] == 0:
         raise InputError(f"expected a non-empty (n, 2) point set, got shape {a.shape}")
     return a
+
+
+def _kd_tree(points) -> cKDTree:
+    # scipy.spatial loads here, at the first score, so that importing the
+    # package does not pay for it
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points)
 
 
 @dataclass
@@ -51,7 +68,7 @@ class ReferenceBoundary:
 
     def tree(self) -> cKDTree:
         if self._tree is None:
-            self._tree = cKDTree(self.points)
+            self._tree = _kd_tree(self.points)
         return self._tree
 
     def nn_distances(self, points) -> np.ndarray:
@@ -64,6 +81,8 @@ def _edge_interior_runs(fn, threshold: float, domain: Domain, cell: float) -> np
     Where the level set crosses an edge, the crossing parameter is refined
     by root finding so run endpoints sit on the true boundary.
     """
+    from scipy.optimize import brentq
+
     out: list[tuple[float, float]] = []
     corners = domain.corners()
     for (ax, ay), (bx, by) in zip(corners, (*corners[1:], corners[0])):
@@ -174,13 +193,18 @@ def reference_from_estimate(estimate: BoundaryEstimate) -> ReferenceBoundary:
     )
 
 
+def _symmetric_distance(aa: np.ndarray, bb: np.ndarray, tree_b: cKDTree) -> float:
+    """Average symmetric distance between point arrays, tree_b holding bb."""
+    d_ab = tree_b.query(aa)[0]
+    d_ba = _kd_tree(aa).query(bb)[0]
+    return float((d_ab.sum() + d_ba.sum()) / (len(aa) + len(bb)))
+
+
 def average_symmetric_distance(a, b) -> float:
     """Mean nearest-neighbor distance over both directions between sets."""
     aa = _as_array(a)
     bb = _as_array(b)
-    d_ab = cKDTree(bb).query(aa)[0]
-    d_ba = cKDTree(aa).query(bb)[0]
-    return float((d_ab.sum() + d_ba.sum()) / (len(aa) + len(bb)))
+    return _symmetric_distance(aa, bb, _kd_tree(bb))
 
 
 @dataclass(frozen=True)
@@ -210,9 +234,11 @@ def asd_to_reference(
             f"reference slack {reference.slack} too coarse for scoring an "
             f"epsilon {epsilon} estimate; need a run at epsilon/10 or finer"
         )
+    points = _as_array(reference.points)
+    tree = reference.tree()
     return AsdBreakdown(
-        inner=average_symmetric_distance(inner, reference.points),
-        outer=average_symmetric_distance(outer, reference.points),
+        inner=_symmetric_distance(_as_array(inner), points, tree),
+        outer=_symmetric_distance(_as_array(outer), points, tree),
     )
 
 

@@ -158,20 +158,48 @@ class TestRun:
         )
         assert 0.0 < report["asd"] < 3.0 * 0.2
 
-    def test_reference_cell_refused_for_network_classifier(self, tmp_path):
-        rc = main(
+    @staticmethod
+    def _assert_refused_before_walking(tmp_path, monkeypatch, argv):
+        # exit 4 with no file written and no oracle query spent
+        log = []
+        build = cli._make_classifier
+
+        def spy(spec):
+            c = build(spec)
+            c.label_fn = cli._recording(c.label_fn, log)
+            return c
+
+        monkeypatch.setattr(cli, "_make_classifier", spy)
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 4
+        assert log == []
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_reference_cell_refused_for_network_classifier(self, tmp_path, monkeypatch):
+        self._assert_refused_before_walking(
+            tmp_path,
+            monkeypatch,
             [
                 "run",
                 "dcopf",
                 "--epsilon",
-                "0.5",
-                "--out",
-                str(tmp_path / "o"),
-                "--reference-cell",
                 "0.05",
-            ]
+                "--seed-in",
+                "0.4,4.74",
+                "--seed-out",
+                "10,7",
+                "--reference-cell",
+                "0.01",
+            ],
         )
-        assert rc == 4
+
+    @pytest.mark.parametrize("cell", ["-1", "0", "nan", "inf"])
+    def test_bad_reference_cell_refused_before_walking(self, tmp_path, monkeypatch, cell):
+        self._assert_refused_before_walking(
+            tmp_path,
+            monkeypatch,
+            ["run", "rosenbrock", "--epsilon", "0.05", f"--reference-cell={cell}"],
+        )
 
     def test_explicit_seeds(self, tmp_path):
         out = tmp_path / "o"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from edgewalk.classifier import make_classifier, make_test_classifier
-from edgewalk.cli import _recording
+from edgewalk.cli import _make_classifier, _recording
 from edgewalk.errors import InputError
 from edgewalk.geometry import Domain, Point2
 from edgewalk.grid import GridEstimate, grid_shape, run_grid
@@ -86,3 +86,39 @@ def test_runs_are_deterministic():
     assert a.inner == b.inner
     assert a.outer == b.outer
     assert a.total_queries == b.total_queries
+
+
+def _labels_by_item(c, epsilon):
+    """The grid scan as first written: one Point2(...) and one array store per node."""
+    domain = c.domain
+    nx, ny = grid_shape(domain, epsilon)
+    labels = np.zeros((ny, nx), dtype=np.int8)
+    for j in range(ny):
+        y = domain.y_min + j * epsilon
+        for i in range(nx):
+            labels[j, i] = c.query(Point2(domain.x_min + i * epsilon, y))
+    return labels
+
+
+def _bits(p):
+    return (type(p), p[0].hex(), p[1].hex())
+
+
+@pytest.mark.parametrize(
+    "spec, epsilon",
+    [("rosenbrock", 0.1), ("goldstein_price", 0.1), ("beale", 0.1), ("dcopf", 0.2)],
+)
+def test_scan_matches_item_by_item_oracle(spec, epsilon):
+    oracle_c, c = _make_classifier(spec), _make_classifier(spec)
+    oracle_log, log = [], []
+    oracle_c.label_fn = _recording(oracle_c.label_fn, oracle_log)
+    c.label_fn = _recording(c.label_fn, log)
+    labels = _labels_by_item(oracle_c, epsilon)
+    g = run_grid(c, epsilon)
+
+    # same nodes, bit for bit, in the same order, with the same labels
+    assert [_bits(p) for p, _ in log] == [_bits(p) for p, _ in oracle_log]
+    assert np.array_equal(np.array([lab for _, lab in log]).reshape(g.ny, g.nx), labels)
+    assert g.total_queries == c.query_count == labels.size
+    assert 0 < labels.sum() < labels.size
+    assert g.inner and g.outer

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from edgewalk import metrics
 from edgewalk.classifier import make_classifier
 from edgewalk.errors import (
     EmptyContourError,
@@ -159,3 +160,28 @@ def test_coverage_reports_fraction_and_worst_point():
     assert cov.fraction_within == pytest.approx(2.0 / 3.0)
     assert cov.n_outside == 1
     assert cov.max_distance == pytest.approx(0.5, abs=0.03)
+
+
+def test_scoring_builds_the_reference_tree_once(monkeypatch):
+    ref = reference_from_scalar(circle_field, 1.0, CIRCLE_DOMAIN, 0.02)
+    c = make_classifier(circle_field, 1.0, CIRCLE_DOMAIN, "circle")
+    est = run_edge(c, EdgeConfig(epsilon=0.1))
+    expected = (
+        average_symmetric_distance(est.inner, ref.points),
+        average_symmetric_distance(est.outer, ref.points),
+    )
+
+    built = []
+    kd_tree = metrics._kd_tree
+
+    def spy(points):
+        built.append(points)
+        return kd_tree(points)
+
+    monkeypatch.setattr(metrics, "_kd_tree", spy)
+    for _ in range(2):
+        res = asd_to_reference(est.inner, est.outer, ref)
+        # bit for bit the sums of the tree-per-call helper
+        assert (res.inner, res.outer) == expected
+    assert sum(p is ref.points for p in built) == 1
+    assert len(built) == 5
