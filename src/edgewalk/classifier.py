@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InputError
-from .geometry import Domain, Point2
+from .geometry import XY, Domain
 
 
 def rosenbrock(x, y):
@@ -76,12 +76,12 @@ class Classifier:
     from one thread; the counter is not locked.
     """
 
-    label_fn: Callable[[Point2], int]
+    label_fn: Callable[[XY], int]
     domain: Domain
     name: str = "classifier"
     query_count: int = 0
 
-    def query(self, p: Point2) -> int:
+    def query(self, p: XY) -> int:
         if not (math.isfinite(p[0]) and math.isfinite(p[1])):
             raise InputError(f"classifier queried at non-finite point {p}")
         raw = self.label_fn(p)
@@ -104,7 +104,7 @@ def make_classifier(
 ) -> Classifier:
     """Binarize a scalar field: label 1 iff fn(x, y) < threshold."""
 
-    def label_fn(p: Point2) -> int:
+    def label_fn(p: XY) -> int:
         return 1 if fn(p[0], p[1]) < threshold else 0
 
     return Classifier(label_fn=label_fn, domain=domain, name=name)

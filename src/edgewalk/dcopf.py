@@ -24,7 +24,7 @@ import numpy as np
 
 from .classifier import Classifier
 from .errors import InputError
-from .geometry import Domain, Point2
+from .geometry import XY, Domain
 # solve_bounded_lp stays importable here: bench/tracing.py wraps dcopf.solve_bounded_lp
 from .simplex import BoundedLP, solve_bounded_lp  # noqa: F401
 
@@ -355,7 +355,7 @@ def make_dcopf_classifier(net: Network) -> Classifier:
     lp = build_feasibility_lp(net)
     domain = net.slot_domain()
 
-    def label(p: Point2) -> int:
+    def label(p: XY) -> int:
         return 1 if lp_feasible(lp, p) else 0
 
     return Classifier(label_fn=label, domain=domain, name="dcopf")

@@ -15,6 +15,13 @@ A walk step is one pass of float arithmetic: `circle_circle_intersection`
 and `select_forward` for the step between two epsilon-circles,
 `perimeter_circle_intersection` for a step along the rim.  Each solves its
 formulas inline and builds only the points it returns.
+
+Point contract: the step functions and `midpoint` take any (x, y) pair and
+return plain `(x, y)` tuples.  Most of the points they build are thrown
+away at once, and a plain tuple is cheaper to build than a `Point2`.  A
+point becomes a `Point2` only when it is kept: the walk converts a point
+right before it queries it, and the grid queries plain tuples and builds
+a `Point2` only for the points its estimate keeps.
 """
 
 from __future__ import annotations
@@ -33,17 +40,16 @@ class Point2(NamedTuple):
     y: float
 
 
-# Point2(x, y) runs a Python-level __new__; the per-step code builds the
-# same tuple directly, in about half the time
-_new_point = tuple.__new__
+# an (x, y) point as the geometry takes and returns it; a Point2 is one too
+XY = tuple[float, float]
 
 
-def distance(a: Point2, b: Point2) -> float:
+def distance(a: XY, b: XY) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def midpoint(a: Point2, b: Point2) -> Point2:
-    return Point2(0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
+def midpoint(a: XY, b: XY) -> XY:
+    return (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
 
 
 class Edge(NamedTuple):
@@ -141,14 +147,14 @@ class Domain:
             s_start += length
         return tuple(edges)
 
-    def contains(self, p: Point2) -> bool:
+    def contains(self, p: XY) -> bool:
         """Closed-rectangle membership."""
         return self.x_min <= p[0] <= self.x_max and self.y_min <= p[1] <= self.y_max
 
 
 def circle_circle_intersection(
-    c1: Point2, c2: Point2, r: float, tol: float
-) -> list[Point2]:
+    c1: XY, c2: XY, r: float, tol: float
+) -> list[XY]:
     """Intersect two circles of equal radius r centered at c1 and c2.
 
     Returns [] when the circles are farther apart than 2r, one point at
@@ -168,20 +174,17 @@ def circle_circle_intersection(
     mx = 0.5 * (c1[0] + c2[0])
     my = 0.5 * (c1[1] + c2[1])
     if d >= 2.0 * r - tol:
-        return [Point2(mx, my)]
+        return [(mx, my)]
     h = math.sqrt(r * r - 0.25 * d * d)
     # unit perpendicular of c1->c2, rotated +90 degrees, scaled by h
     hx = h * (-uy / d)
     hy = h * (ux / d)
-    return [
-        _new_point(Point2, (mx + hx, my + hy)),
-        _new_point(Point2, (mx - hx, my - hy)),
-    ]
+    return [(mx + hx, my + hy), (mx - hx, my - hy)]
 
 
 def select_forward(
-    inner_end: Point2, outer_end: Point2, candidates: list[Point2], tol: float
-) -> Point2:
+    inner_end: XY, outer_end: XY, candidates: list[XY], tol: float
+) -> XY:
     """Pick the candidate strictly on the forward side of the walk.
 
     Forward means a positive cross product of (outer_end - inner_end) with
@@ -196,7 +199,7 @@ def select_forward(
         raise CoincidentCentersError(
             f"walk endpoints {inner_end} and {outer_end} coincide within {tol}"
         )
-    best: Point2 | None = None
+    best: XY | None = None
     best_offset = tol
     for cand in candidates:
         offset = (ux * (cand[1] - iy) - uy * (cand[0] - ix)) / base
@@ -212,8 +215,8 @@ def select_forward(
 
 
 def perimeter_circle_intersection(
-    domain: Domain, center: Point2, r: float
-) -> list[tuple[Point2, float]]:
+    domain: Domain, center: XY, r: float
+) -> list[tuple[XY, float]]:
     """Points where the circle around center meets the domain perimeter.
 
     Returns (point, arclength) pairs sorted by arclength, with duplicates at
@@ -226,13 +229,10 @@ def perimeter_circle_intersection(
     reach = r + 2.0 * tol
     cx, cy = center
     rr = r * r
-    hits: list[tuple[Point2, float]] = []
-    for edge in domain.edges:
-        ax, ay = start = edge.start
-        axis = edge.axis
-        if abs(center[axis] - start[axis]) > reach:
+    hits: list[tuple[XY, float]] = []
+    for (ax, ay), edge_len, s_edge, axis, dx, dy, a, t_tol in domain.edges:
+        if abs(cy - ay if axis else cx - ax) > reach:
             continue
-        dx, dy, a, t_tol = edge.dx, edge.dy, edge.a, edge.t_tol
         # the segment start + t (dx, dy) meets the circle where
         # a t^2 + b t + c = 0, for t within t_tol of [0, 1]
         fx, fy = ax - cx, ay - cy
@@ -243,12 +243,12 @@ def perimeter_circle_intersection(
             continue
         sq = math.sqrt(disc)
         t_lo, t_hi = -t_tol, 1.0 + t_tol
-        s_edge, edge_len = edge.s_start, edge.length
         t0 = (-b - sq) / (2.0 * a)
         if t_lo <= t0 <= t_hi:
             t0 = 0.0 if t0 < 0.0 else 1.0 if t0 > 1.0 else t0
-            p = _new_point(Point2, (ax + t0 * dx, ay + t0 * dy))
-            hits.append((p, (s_edge + t0 * edge_len) % period))
+            hits.append(
+                ((ax + t0 * dx, ay + t0 * dy), (s_edge + t0 * edge_len) % period)
+            )
         else:
             t0 = None
         t1 = (-b + sq) / (2.0 * a)
@@ -256,8 +256,9 @@ def perimeter_circle_intersection(
             t1 = 0.0 if t1 < 0.0 else 1.0 if t1 > 1.0 else t1
             # a second root within t_tol of the first is the same hit
             if t0 is None or abs(t0 - t1) > t_tol:
-                p = _new_point(Point2, (ax + t1 * dx, ay + t1 * dy))
-                hits.append((p, (s_edge + t1 * edge_len) % period))
+                hits.append(
+                    ((ax + t1 * dx, ay + t1 * dy), (s_edge + t1 * edge_len) % period)
+                )
     if len(hits) < 2:
         return hits
     if len(hits) == 2:
@@ -270,7 +271,7 @@ def perimeter_circle_intersection(
             del hits[1]
         return hits
     hits.sort(key=itemgetter(1))
-    deduped: list[tuple[Point2, float]] = []
+    deduped: list[tuple[XY, float]] = []
     for p, s in hits:
         if deduped and distance(deduped[-1][0], p) <= tol:
             continue

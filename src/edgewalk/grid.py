@@ -17,7 +17,7 @@ import numpy as np
 
 from .classifier import Classifier
 from .errors import InputError
-from .geometry import Domain, Point2, _new_point
+from .geometry import Domain, Point2
 
 
 @dataclass
@@ -39,7 +39,11 @@ def grid_shape(domain: Domain, epsilon: float) -> tuple[int, int]:
 
 
 def run_grid(c: Classifier, epsilon: float) -> GridEstimate:
-    """Query the full grid row by row, bottom to top, left to right."""
+    """Query the full grid row by row, bottom to top, left to right.
+
+    The grid keeps only the labels, so each node is queried as a plain
+    (x, y) tuple; only the kept transition points are built as Point2.
+    """
     domain = c.domain
     nx, ny = grid_shape(domain, epsilon)
     start = c.query_count
@@ -48,7 +52,7 @@ def run_grid(c: Classifier, epsilon: float) -> GridEstimate:
     rows = []
     for j in range(ny):
         y = domain.y_min + j * epsilon
-        rows.append([query(_new_point(Point2, (x, y))) for x in xs])
+        rows.append([query((x, y)) for x in xs])
     labels = np.array(rows, dtype=np.int8)
     total = c.query_count - start
 

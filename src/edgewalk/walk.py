@@ -26,6 +26,12 @@ start closer; `EdgeConfig.validate_for` refuses explicit seeds within the
 geometric tolerance of each other, so the pair never degenerates.  Any
 geometric failure mid-walk ends the walk with termination `failed` and
 keeps the partial estimate.
+
+Point contract: the geometry builds every candidate point, rim hit and
+bisection midpoint as a plain `(x, y)` tuple, and the walk makes a point a
+`Point2` once, right before it queries it.  So every estimate point is a
+`Point2`, and it is the same object the oracle was handed; `edgewalk run
+--log-queries` relies on that to format each point once.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .errors import (
     StalledWalkError,
 )
 from .geometry import (
+    XY,
     Domain,
     Point2,
     circle_circle_intersection,
@@ -53,6 +60,11 @@ from .geometry import (
     select_forward,
     wrapped_delta,
 )
+
+
+# Point2(x, y) runs a Python-level __new__; this builds the same Point2
+# from an (x, y) tuple in C, in about half the time
+_new_point = tuple.__new__
 
 
 class Termination(str, Enum):
@@ -65,14 +77,15 @@ class Termination(str, Enum):
 class EdgeConfig:
     """Parameters of one estimation run.
 
-    Seeds are optional; when absent a deterministic coarse-to-fine domain
-    scan locates one point of each label.  max_queries of None resolves to
-    10 * perimeter / epsilon, enough for several boundary circumnavigations.
+    Seeds are optional, each a pair of finite numbers; when absent a
+    deterministic coarse-to-fine domain scan locates one point of each
+    label.  max_queries of None resolves to 10 * perimeter / epsilon,
+    enough for several boundary circumnavigations.
     """
 
     epsilon: float
-    seed_interior: Point2 | None = None
-    seed_exterior: Point2 | None = None
+    seed_interior: XY | None = None
+    seed_exterior: XY | None = None
     max_queries: int | None = None
 
     def validate_for(self, domain: Domain) -> None:
@@ -85,9 +98,23 @@ class EdgeConfig:
             )
         if (self.seed_interior is None) != (self.seed_exterior is None):
             raise InputError("provide both seeds or neither")
-        for seed in (self.seed_interior, self.seed_exterior):
-            if seed is not None and not domain.contains(Point2(*seed)):
-                raise InputError(f"seed {seed} lies outside the domain")
+        for name, seed in (
+            ("interior", self.seed_interior),
+            ("exterior", self.seed_exterior),
+        ):
+            if seed is None:
+                continue
+            try:
+                x, y = seed
+                finite = math.isfinite(x) and math.isfinite(y)
+            except (TypeError, ValueError):
+                finite = False
+            if not finite:
+                raise InputError(
+                    f"{name} seed {seed!r} is not a pair of finite numbers"
+                )
+            if not domain.contains(seed):
+                raise InputError(f"{name} seed {seed} lies outside the domain")
         if self.seed_interior is not None and self.seed_exterior is not None:
             gap = distance(self.seed_interior, self.seed_exterior)
             # a pair this close has no circle intersection to step to
@@ -181,7 +208,7 @@ def _bisect(
     refined (inner, outer) pair.
     """
     while distance(x_in, x_out) >= epsilon:
-        m = midpoint(x_in, x_out)
+        m = _new_point(Point2, midpoint(x_in, x_out))
         if budget.query(m) == 0:
             x_out = m
         else:
@@ -230,6 +257,7 @@ def domain_boundary_walk(
     appended = 0
     span = 0.0
     while True:
+        x_test = _new_point(Point2, x_test)
         if query(x_test) == 0:
             outer.append(x_test)
             labels_order.append(0)
@@ -288,7 +316,7 @@ def decision_boundary_walk(
     y_lo, y_hi = domain.y_min - tol, domain.y_max + tol
     (xi0, yi0), (xo0, yo0) = inner[0], outer[0]
     steps = 0
-    last_test: Point2 | None = None
+    last_test: XY | None = None
     escaped = False
     termination = Termination.CLOSED_LOOP
     failure = None
@@ -306,6 +334,7 @@ def decision_boundary_walk(
                 )
             last_test = x_test
             if x_lo <= x <= x_hi and y_lo <= y <= y_hi:
+                x_test = _new_point(Point2, x_test)
                 if query(x_test) == 1:
                     inner.append(x_test)
                     labels_order.append(1)

@@ -67,11 +67,12 @@ class TestCircleCircleIntersection:
             Point2(0.0, 0.0), Point2(1.0, 0.0), 1.0, 1e-12
         )
         assert len(pts) == 2
+        assert all(type(p) is tuple for p in pts)
         h = math.sqrt(3.0) / 2.0
         # left of the center-to-center direction comes first
-        assert pts[0].x == pytest.approx(0.5)
-        assert pts[0].y == pytest.approx(h)
-        assert pts[1].y == pytest.approx(-h)
+        assert pts[0][0] == pytest.approx(0.5)
+        assert pts[0][1] == pytest.approx(h)
+        assert pts[1][1] == pytest.approx(-h)
 
     def test_tangent_gives_single_midpoint(self):
         pts = circle_circle_intersection(

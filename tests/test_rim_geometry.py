@@ -71,8 +71,8 @@ def oracle_circle_circle_intersection(c1, c2, r, tol):
     px = -(c2[1] - c1[1]) / d
     py = (c2[0] - c1[0]) / d
     return [
-        Point2(mid[0] + h * px, mid[1] + h * py),
-        Point2(mid[0] - h * px, mid[1] - h * py),
+        (mid[0] + h * px, mid[1] + h * py),
+        (mid[0] - h * px, mid[1] - h * py),
     ]
 
 
@@ -299,7 +299,7 @@ def _assert_step_equals_oracle(c1, c2, r, tol):
     )
     assert fast == oracle
     if fast[0] != "intersect":
-        assert all(type(p) is Point2 for p in fast[0])
+        assert all(type(p) is tuple for p in fast[0])
 
 
 def _nudge(v, ulps):

@@ -339,6 +339,27 @@ def test_config_validation():
     ).validate_for(dom)
 
 
+@pytest.mark.parametrize(
+    "seed",
+    [(0.0, 0.0, 1.0), (0.0,), "ab", (math.nan, 0.0)],
+    ids=["three-numbers", "one-number", "string", "nan"],
+)
+@pytest.mark.parametrize("side", ["seed_interior", "seed_exterior"])
+def test_malformed_seed_is_input_error(seed, side):
+    dom = Domain(-2.0, 2.0, -2.0, 2.0)
+    seeds = {"seed_interior": (0.0, 0.0), "seed_exterior": (1.0, 0.0)}
+    seeds[side] = seed
+    config = EdgeConfig(epsilon=0.1, **seeds)
+    name = side.removeprefix("seed_")
+    with pytest.raises(InputError, match="not a pair of finite numbers") as err:
+        config.validate_for(dom)
+    assert str(err.value).startswith(f"{name} seed {seed!r} ")
+    c = make_classifier(lambda x, y: x, 0.5, dom)
+    with pytest.raises(InputError):
+        run_edge(c, config)
+    assert c.query_count == 0
+
+
 def test_default_budget_scales_with_perimeter():
     dom = Domain(0.0, 2.0, 0.0, 1.0)
     assert EdgeConfig(epsilon=0.1).budget_for(dom) == 600
