@@ -8,7 +8,7 @@ strictly below the threshold); ties go to label 0.
 
 from __future__ import annotations
 
-import math
+from math import isfinite
 from dataclasses import dataclass
 from typing import Callable
 
@@ -82,15 +82,14 @@ class Classifier:
     query_count: int = 0
 
     def query(self, p: XY) -> int:
-        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+        if not (isfinite(p[0]) and isfinite(p[1])):
             raise InputError(f"classifier queried at non-finite point {p}")
         raw = self.label_fn(p)
         # checked before conversion, so that 0.7 or NaN is refused, not truncated
         if raw not in (0, 1):
             raise InputError(f"label function returned {raw!r}, expected 0 or 1")
-        label = int(raw)
         self.query_count += 1
-        return label
+        return 1 if raw else 0
 
     def reset(self) -> None:
         self.query_count = 0

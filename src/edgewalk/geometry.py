@@ -13,8 +13,11 @@ the walk reads them on every perimeter step.
 
 A walk step is one pass of float arithmetic: `circle_circle_intersection`
 and `select_forward` for the step between two epsilon-circles,
-`perimeter_circle_intersection` for a step along the rim.  Each solves its
-formulas inline and builds only the points it returns.
+`step_along_side` for a step along one side of the rim.
+`perimeter_circle_intersection` searches all four sides; the perimeter
+walk needs it only to enter the rim and at corners.  Both rim functions
+solve each side's segment-circle quadratic with `side_circle_roots`, and
+each builds only the points it returns.
 
 Point contract: the step functions and `midpoint` take any (x, y) pair and
 return plain `(x, y)` tuples.  Most of the points they build are thrown
@@ -214,6 +217,27 @@ def select_forward(
     return best
 
 
+def side_circle_roots(
+    edge: Edge, cx: float, cy: float, rr: float
+) -> tuple[float, float] | None:
+    """Where a side's line meets the circle of squared radius rr about (cx, cy).
+
+    Returns the parameters t0 <= t1 of the two points where the line
+    start + t (dx, dy) crosses the circle, or None when it misses.  The
+    caller decides which roots lie on the side: within t_tol of [0, 1].
+    """
+    (ax, ay), _, _, _, dx, dy, a, _ = edge
+    # a t^2 + b t + c = 0
+    fx, fy = ax - cx, ay - cy
+    b = 2.0 * (fx * dx + fy * dy)
+    c = fx * fx + fy * fy - rr
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return None
+    sq = math.sqrt(disc)
+    return (-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)
+
+
 def perimeter_circle_intersection(
     domain: Domain, center: XY, r: float
 ) -> list[tuple[XY, float]]:
@@ -230,20 +254,15 @@ def perimeter_circle_intersection(
     cx, cy = center
     rr = r * r
     hits: list[tuple[XY, float]] = []
-    for (ax, ay), edge_len, s_edge, axis, dx, dy, a, t_tol in domain.edges:
+    for edge in domain.edges:
+        (ax, ay), edge_len, s_edge, axis, dx, dy, _, t_tol = edge
         if abs(cy - ay if axis else cx - ax) > reach:
             continue
-        # the segment start + t (dx, dy) meets the circle where
-        # a t^2 + b t + c = 0, for t within t_tol of [0, 1]
-        fx, fy = ax - cx, ay - cy
-        b = 2.0 * (fx * dx + fy * dy)
-        c = fx * fx + fy * fy - rr
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
+        roots = side_circle_roots(edge, cx, cy, rr)
+        if roots is None:
             continue
-        sq = math.sqrt(disc)
+        t0, t1 = roots
         t_lo, t_hi = -t_tol, 1.0 + t_tol
-        t0 = (-b - sq) / (2.0 * a)
         if t_lo <= t0 <= t_hi:
             t0 = 0.0 if t0 < 0.0 else 1.0 if t0 > 1.0 else t0
             hits.append(
@@ -251,7 +270,6 @@ def perimeter_circle_intersection(
             )
         else:
             t0 = None
-        t1 = (-b + sq) / (2.0 * a)
         if t_lo <= t1 <= t_hi:
             t1 = 0.0 if t1 < 0.0 else 1.0 if t1 > 1.0 else t1
             # a second root within t_tol of the first is the same hit
@@ -279,6 +297,58 @@ def perimeter_circle_intersection(
     if len(deduped) > 1 and distance(deduped[0][0], deduped[-1][0]) <= tol:
         deduped.pop()
     return deduped
+
+
+def step_along_side(
+    domain: Domain, center: XY, s: float, r: float, direction: float
+) -> tuple[XY, float, float] | None:
+    """The perimeter walk's next rim point, found on the centre's side alone.
+
+    center is a rim point on one side, at arclength s; the walk moves
+    counter-clockwise for direction +1.0 and clockwise for -1.0.  When
+    exactly one side lies within reach of the circle of radius r (r plus
+    2 tol, the test `perimeter_circle_intersection` skips a side by), that
+    side holds every hit the full search finds.  Sides run
+    counter-clockwise, so the hit ahead is the side's root t1 going
+    counter-clockwise and t0 going clockwise, and the other root lies
+    behind.  Returns (point, arclength, step), with step the wrapped
+    arclength advance times direction: the very hit, bit for bit, that the
+    full search and the nearest-ahead rule pick.  Returns None where only
+    the full search decides: two sides within reach (a corner), no side,
+    a missed, merged or off-side root, or a step not beyond tol.
+    """
+    tol = domain.geom_tol
+    reach = r + 2.0 * tol
+    cx, cy = center
+    # perimeter_circle_intersection's reach test, reading each side's
+    # line from the bounds its start corner in domain.edges was built from
+    bottom = abs(cy - domain.y_min) <= reach
+    right = abs(cx - domain.x_max) <= reach
+    top = abs(cy - domain.y_max) <= reach
+    left = abs(cx - domain.x_min) <= reach
+    if bottom + right + top + left != 1:
+        return None
+    side = domain.edges[0 if bottom else 1 if right else 2 if top else 3]
+    roots = side_circle_roots(side, cx, cy, r * r)
+    if roots is None:
+        return None
+    (ax, ay), edge_len, s_edge, _, dx, dy, _, t_tol = side
+    t0, t1 = roots
+    if t1 - t0 <= t_tol:
+        return None
+    t = t1 if direction > 0.0 else t0
+    if not -t_tol <= t <= 1.0 + t_tol:
+        return None
+    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+    period = domain.perimeter
+    s_next = (s_edge + t * edge_len) % period
+    d = (s_next - s) % period  # wrapped_delta(s, s_next, period)
+    if d > 0.5 * period:
+        d -= period
+    d *= direction
+    if d <= tol:
+        return None
+    return (ax + t * dx, ay + t * dy), s_next, d
 
 
 def wrapped_delta(s_from: float, s_to: float, period: float) -> float:

@@ -10,6 +10,13 @@ decision boundary between them.
 
 When a test point falls outside the domain, the walk switches to stepping
 along the domain perimeter until the boundary re-enters, then resumes.
+A perimeter episode enters the rim with a search of all four sides
+(`perimeter_circle_intersection`).  Each later rim step starts from a rim
+point on one side, and while no other side's line lies within reach of
+its circle it steps along that side alone (`step_along_side`), in
+constant time; at corners, and wherever that step cannot decide, the
+full search and the nearest-ahead rule take the step.  Both pick the
+same point, bit for bit.
 
 `run_edge` builds one `_Budget` per run and threads it through the seed
 scan, the bisection, the walk and the perimeter steps: it is their only
@@ -23,7 +30,8 @@ in straight-line code, and the containment, stall and closure tests are
 inline comparisons.  Each step leaves the pair epsilon apart, and the
 bisection leaves it between epsilon/2 and epsilon apart unless the seeds
 start closer; `EdgeConfig.validate_for` refuses explicit seeds within the
-geometric tolerance of each other, so the pair never degenerates.  Any
+geometric tolerance of each other and an epsilon of at most twice that
+tolerance, so the pair never degenerates.  Any
 geometric failure mid-walk ends the walk with termination `failed` and
 keeps the partial estimate.
 
@@ -58,6 +66,7 @@ from .geometry import (
     midpoint,
     perimeter_circle_intersection,
     select_forward,
+    step_along_side,
     wrapped_delta,
 )
 
@@ -91,6 +100,14 @@ class EdgeConfig:
     def validate_for(self, domain: Domain) -> None:
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise InputError(f"epsilon must be positive and finite, got {self.epsilon}")
+        # the bisection may leave the pair epsilon/2 apart; at or below
+        # 2 tol that is within the tolerance, where the circles around the
+        # pair have no intersection to step to
+        if self.epsilon <= 2.0 * domain.geom_tol:
+            raise InputError(
+                f"epsilon {self.epsilon:g} must exceed twice the domain's "
+                f"geometric tolerance {domain.geom_tol:g}"
+            )
         if self.epsilon >= min(domain.width, domain.height):
             raise InputError(
                 f"epsilon {self.epsilon} must be smaller than both domain sides "
@@ -231,6 +248,12 @@ def domain_boundary_walk(
     monotonically along the perimeter in epsilon steps, appending interior
     points, until the first exterior point is found and appended.  Returns
     the number of points appended.
+
+    Each step after the entry is the nearest perimeter point more than tol
+    ahead at distance epsilon.  Away from corners `step_along_side` finds
+    it on the current side alone; where two sides lie within reach, or
+    the on-side step cannot decide, `perimeter_circle_intersection`
+    searches all four sides for it.
     """
     domain = budget.domain
     tol = domain.geom_tol
@@ -265,19 +288,25 @@ def domain_boundary_walk(
         inner.append(x_test)
         labels_order.append(1)
         appended += 1
-        # the nearest hit ahead, as min() over (delta, s, point) would pick it
-        d_new = math.inf
-        for p, s in perimeter_circle_intersection(domain, x_test, epsilon):
-            d = (s - s_cur) % period  # wrapped_delta(s_cur, s, period)
-            if d > half_period:
-                d -= period
-            d *= direction
-            if tol < d < d_new or (d == d_new and (s, p) < (s_new, p_new)):
-                d_new, s_new, p_new = d, s, p
-        if d_new == math.inf:
-            raise GeometricFailureError(
-                f"domain walk found no forward perimeter point from {x_test}"
-            )
+        step = step_along_side(domain, x_test, s_cur, epsilon, direction)
+        if step is not None:
+            p_new, s_new, d_new = step
+        else:
+            # a corner, or a step the one side cannot decide: the nearest
+            # hit ahead among all sides, as min() over (delta, s, point)
+            # would pick it
+            d_new = math.inf
+            for p, s in perimeter_circle_intersection(domain, x_test, epsilon):
+                d = (s - s_cur) % period  # wrapped_delta(s_cur, s, period)
+                if d > half_period:
+                    d -= period
+                d *= direction
+                if tol < d < d_new or (d == d_new and (s, p) < (s_new, p_new)):
+                    d_new, s_new, p_new = d, s, p
+            if d_new == math.inf:
+                raise GeometricFailureError(
+                    f"domain walk found no forward perimeter point from {x_test}"
+                )
         span += d_new
         if span >= period:
             raise FullPerimeterError(
@@ -314,6 +343,8 @@ def decision_boundary_walk(
     hypot = math.hypot
     x_lo, x_hi = domain.x_min - tol, domain.x_max + tol
     y_lo, y_hi = domain.y_min - tol, domain.y_max + tol
+    # the latest inner and outer points, the pair each step starts from
+    in_end, out_end = inner[-1], outer[-1]
     (xi0, yi0), (xo0, yo0) = inner[0], outer[0]
     steps = 0
     last_test: XY | None = None
@@ -322,8 +353,8 @@ def decision_boundary_walk(
     failure = None
     while True:
         try:
-            cands = circle_circle_intersection(inner[-1], outer[-1], epsilon, tol)
-            x_test = select_forward(inner[-1], outer[-1], cands, tol)
+            cands = circle_circle_intersection(in_end, out_end, epsilon, tol)
+            x_test = select_forward(in_end, out_end, cands, tol)
             x, y = x_test
             if (
                 last_test is not None
@@ -338,15 +369,18 @@ def decision_boundary_walk(
                 if query(x_test) == 1:
                     inner.append(x_test)
                     labels_order.append(1)
+                    in_end = x_test
                 else:
                     outer.append(x_test)
                     labels_order.append(0)
+                    out_end = x_test
                 steps += 1
             else:
                 steps += domain_boundary_walk(
                     budget, inner, outer, labels_order, epsilon
                 )
-                x, y = outer[-1]
+                in_end, out_end = inner[-1], outer[-1]
+                x, y = out_end
                 last_test = None
         except BudgetExhaustedError:
             termination = Termination.BUDGET_EXHAUSTED

@@ -7,7 +7,10 @@ solves the quadratic inline; `circle_circle_intersection` and
 distance and the offsets inline.  The versions below solve all four sides,
 build the midpoint as a point and call `distance` and the `cross` below;
 they are the oracle, and the fast ones must return exactly equal results
-and raise the same errors.
+and raise the same errors.  `step_along_side`, the perimeter walk's step
+from a centre on one side, must return the very hit that the full search
+plus the nearest-ahead rule picks, bit for bit, whenever it does not
+leave the step to them.
 """
 
 import math
@@ -26,6 +29,8 @@ from edgewalk.geometry import (
     midpoint,
     perimeter_circle_intersection,
     select_forward,
+    step_along_side,
+    wrapped_delta,
 )
 
 
@@ -376,6 +381,129 @@ def test_forward_step_equals_oracle_at_exact_thresholds(tol):
     assert select_forward(c1, Point2(1.25, -3.0), cands, tol) == Point2(
         0.75, -3.0 + math.sqrt(0.75)
     )
+
+
+def nearest_ahead(dom, center, s_cur, r, direction):
+    """The perimeter walk's step by the full search: (point, s, step) or None.
+
+    Every hit of the circle on the rim, and of those more than tol ahead
+    the one with the least (step, s, point), as the walk picked it before
+    it stepped along one side.
+    """
+    best = None
+    for p, s in perimeter_circle_intersection(dom, center, r):
+        d = wrapped_delta(s_cur, s, dom.perimeter) * direction
+        if d > dom.geom_tol and (best is None or (d, s, p) < best):
+            best = (d, s, p)
+    return None if best is None else (best[2], best[1], best[0])
+
+
+def _bits(step):
+    """A step's floats as hex strings, which tell -0.0 from 0.0."""
+    (x, y), s, d = step
+    return x.hex(), y.hex(), s.hex(), d.hex()
+
+
+def _sides_in_reach(dom, center, r):
+    reach = r + 2.0 * dom.geom_tol
+    return sum(
+        abs(center[1] - e.start[1] if e.axis else center[0] - e.start[0]) <= reach
+        for e in dom.edges
+    )
+
+
+@st.composite
+def rim_walk_steps(draw):
+    """(domain, centre, s, epsilon, direction) of one perimeter walk step.
+
+    The centre lies on a side, as every rim point the walk queries does:
+    anywhere on it, at a corner, or a few ulps either side of where the
+    adjacent side's line comes within reach.  epsilon runs from just above
+    2 tol, the least `EdgeConfig` accepts, up to the shorter side.
+    """
+    dom = draw(
+        st.sampled_from(
+            [
+                Domain(0.0, 10.0, 0.0, 7.0),  # the five-bus study's domain
+                Domain(-1.0, 1.0, -1.0, 1.0),
+                Domain(-6.0, 6.0, -2.0, 10.0),
+            ]
+        )
+        | domains()
+    )
+    tol = dom.geom_tol
+    short = min(dom.width, dom.height)
+    lowest = math.nextafter(2.0 * tol, math.inf)
+    eps = draw(
+        st.sampled_from([lowest, _nudge(lowest, 3), short * (1.0 - 1e-12)])
+        | st.floats(0.0, 1.0, exclude_max=True).map(
+            lambda u: lowest * (short / lowest) ** u
+        )
+        | st.floats(-4.0, -0.5).map(lambda k: short * 10.0**k)
+    )
+    assume(2.0 * tol < eps < short)
+    (ax, ay), length, s_edge, axis, dx, dy, _, _ = draw(st.sampled_from(dom.edges))
+    along, step = (ax, dx) if axis else (ay, dy)
+    reach = eps + 2.0 * tol
+    kind = draw(st.sampled_from(["anywhere", "anywhere", "corner", "reach"]))
+    if kind == "anywhere":
+        t = draw(st.floats(0.0, 1.0))
+    elif kind == "corner":
+        t = draw(st.sampled_from([0.0, 1.0]))
+    else:
+        # where the line of the side before or after this one is reach away
+        end = draw(st.sampled_from([0.0, 1.0]))
+        u = along + end * step + (reach if end == 0.0 else -reach) * math.copysign(
+            1.0, step
+        )
+        u = _nudge(u, draw(st.integers(-4, 4)))
+        t = min(max((u - along) / step, 0.0), 1.0)
+    center = (ax + t * dx, ay + t * dy)
+    s = (s_edge + t * length) % dom.perimeter
+    direction = draw(st.sampled_from([1.0, -1.0]))
+    return dom, center, s, eps, direction
+
+
+@settings(max_examples=1000, deadline=None)
+@given(rim_walk_steps())
+def test_step_along_side_equals_full_search(step):
+    dom, center, s, eps, direction = step
+    fast = step_along_side(dom, center, s, eps, direction)
+    if fast is None:
+        # the walk falls back to the full search; a lone side in reach
+        # falls back only where rounding swamps the radius
+        assert _sides_in_reach(dom, center, eps) != 1 or eps < 1e-6 * dom.diagonal
+        return
+    oracle = nearest_ahead(dom, center, s, eps, direction)
+    assert oracle is not None
+    assert _bits(fast) == _bits(oracle)
+    assert type(fast[0]) is tuple
+    assert _sides_in_reach(dom, center, eps) == 1
+
+
+def test_step_along_side_picks_the_root_on_the_walks_side():
+    dom = Domain(0.0, 10.0, 0.0, 7.0)
+    # mid-side: counter-clockwise steps to larger s, clockwise to smaller
+    assert step_along_side(dom, (4.0, 0.0), 4.0, 0.5, 1.0) == ((4.5, 0.0), 4.5, 0.5)
+    assert step_along_side(dom, (4.0, 0.0), 4.0, 0.5, -1.0) == ((3.5, 0.0), 3.5, 0.5)
+    # the top side runs from (10, 7), at arclength 17, to the left
+    assert step_along_side(dom, (4.0, 7.0), 23.0, 0.5, 1.0) == ((3.5, 7.0), 23.5, 0.5)
+    # within reach of the right side's line: the corner is the full search's
+    assert step_along_side(dom, (9.5, 0.0), 9.5, 0.5, 1.0) is None
+    assert step_along_side(dom, (0.0, 0.0), 0.0, 0.5, -1.0) is None
+    assert nearest_ahead(dom, (0.0, 0.0), 0.0, 0.5, -1.0) == ((0.0, 0.5), 33.5, 0.5)
+    # a centre exactly reach from the right side's line has that side in
+    # reach, as in the full search; one ulp less of radius leaves the
+    # bottom side alone
+    two_tol = 2.0 * dom.geom_tol
+    eps = next(
+        e for e in (_nudge(0.5 - two_tol, k) for k in range(-4, 5)) if e + two_tol == 0.5
+    )
+    assert step_along_side(dom, (9.5, 0.0), 9.5, eps, 1.0) is None
+    eps = math.nextafter(eps, 0.0)
+    fast = step_along_side(dom, (9.5, 0.0), 9.5, eps, 1.0)
+    assert fast is not None
+    assert fast == nearest_ahead(dom, (9.5, 0.0), 9.5, eps, 1.0)
 
 
 def test_cached_constants_match_their_formulas():

@@ -339,6 +339,25 @@ def test_config_validation():
     ).validate_for(dom)
 
 
+def test_epsilon_within_twice_the_tolerance_is_refused_before_any_query():
+    # the bisection may leave the pair epsilon/2 apart, within the
+    # geometric tolerance once epsilon <= 2 tol; such runs used to spend
+    # 32-46 queries and then end failed on coincident circle centres
+    dom = Domain(-1.0, 1.0, -1.0, 1.0)
+    bound = 2.0 * dom.geom_tol  # about 5.66e-9
+    for eps in (bound, 3e-9, 1e-9, 1e-12):
+        c = make_classifier(lambda x, y: x, 0.1, dom)
+        with pytest.raises(InputError, match="geometric tolerance"):
+            run_edge(c, EdgeConfig(epsilon=eps))
+        assert c.query_count == 0
+    # one ulp above the bound the walk steps until its budget ends
+    c = make_classifier(lambda x, y: x, 0.1, dom)
+    eps = math.nextafter(bound, math.inf)
+    est = run_edge(c, EdgeConfig(epsilon=eps, max_queries=300))
+    assert est.termination is Termination.BUDGET_EXHAUSTED
+    assert est.walk_queries > 200
+
+
 @pytest.mark.parametrize(
     "seed",
     [(0.0, 0.0, 1.0), (0.0,), "ab", (math.nan, 0.0)],
