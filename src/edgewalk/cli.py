@@ -12,9 +12,14 @@ When the budget dies or the geometry fails mid-walk, `run` still writes
 the partial estimate.
 
 `run` keeps the --log-queries log itself, by wrapping the classifier's
-label function.  It formats each probed point's coordinates once, to 17
-significant digits, for both points.csv and queries.csv, and writes each
-file row by row without holding its whole text.
+label function: two flat lists, the queried points and their labels.
+One writer then streams points.csv and queries.csv together in a single
+pass over that log.  The seed-scan and bisection probes go to
+queries.csv alone; every later probe is the next estimate point, by the
+point contract in walk.py, so its coordinates are formatted once, to 17
+significant digits, for both files.  Every output file is written row by
+row, without holding its whole text, through a temporary file that
+replaces it at the end; a write that raises leaves no temporary behind.
 """
 
 from __future__ import annotations
@@ -26,8 +31,11 @@ import os
 import sys
 import time
 from collections.abc import Iterable, Iterator
+from contextlib import ExitStack, contextmanager
 from io import StringIO
+from itertools import islice
 from pathlib import Path
+from typing import TextIO
 
 from .classifier import CANONICAL_SPECS, Classifier, make_test_classifier
 from .dcopf import default_network, dispatch, load_network, make_dcopf_classifier
@@ -80,18 +88,21 @@ def _make_classifier(spec: str) -> Classifier:
     return make_test_classifier(spec)
 
 
-def _recording(label_fn, log: list):
-    """label_fn, also appending each (point, label) it returns to log.
+def _recording(label_fn, points: list, labels: list):
+    """label_fn, also appending each point it is asked and its label to the logs.
 
-    The pair is appended before Classifier.query checks the label; a
-    refused label aborts the run before any file is written, so the log
-    that reaches queries.csv holds only accepted queries, in order.
+    The two flat lists hold one entry per query, in order, with no tuple
+    per query.  The entry is appended before Classifier.query checks the
+    label; a refused label aborts the run before any file is written, so
+    the log that reaches queries.csv holds only accepted queries.
     """
-    append = log.append
+    add_point = points.append
+    add_label = labels.append
 
     def label(p):
         raw = label_fn(p)
-        append((p, raw))
+        add_point(p)
+        add_label(raw)
         return raw
 
     return label
@@ -103,45 +114,47 @@ def _scalar_spec(spec: str):
     return CANONICAL_SPECS.get(key)
 
 
+@contextmanager
+def _replacing(*paths: Path) -> Iterator[list[TextIO]]:
+    """Open a temporary file beside each path; on success each replaces its path.
+
+    The body writes through the yielded handles.  If it raises, the
+    temporaries are removed, each path keeps what it held before, and the
+    exception goes on: no stray temporary and no half-written file is left.
+    """
+    tmps = [path.with_name(path.name + ".tmp") for path in paths]
+    try:
+        with ExitStack() as stack:
+            yield [stack.enter_context(tmp.open("w")) for tmp in tmps]
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+        raise
+
+
 def _atomic_write(path: Path, lines: Iterable[str]) -> None:
     """Write lines through a temporary file that then replaces path.
 
     Lines may be a generator, so a large file's text is never held whole.
     """
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w") as fh:
+    with _replacing(path) as (fh,):
         fh.writelines(lines)
-    os.replace(tmp, path)
 
 
 # the same bytes as f"{x:.17g},{y:.17g}", in about three quarters of the time
 _XY = "%.17g,%.17g"
 
 
-def _xy_texts(log) -> dict[int, str]:
-    """The "x,y" text of each queried point, keyed by id(point).
-
-    Every estimate point is a queried point object, so points.csv and
-    queries.csv share one formatting pass.  Keys are identities, not
-    values: 0.0 == -0.0, yet the two format differently.  The log keeps the
-    points alive, so no id is reused while the texts are in use.
-    """
-    return {id(p): _XY % p for p, _ in log}
-
-
-def _points_rows(estimate, texts: dict[int, str] | None = None) -> Iterator[str]:
-    """points.csv lines: the estimate's points in append order.
-
-    Points found in texts (from _xy_texts) reuse their text; the rest are
-    formatted here.
-    """
-    get = (texts or {}).get
+def _points_rows(estimate) -> Iterator[str]:
+    """points.csv lines: the estimate's points in append order."""
     next_inner = iter(estimate.inner).__next__
     next_outer = iter(estimate.outer).__next__
     yield "x,y,label,order\n"
     for order, label in enumerate(estimate.labels_order):
         p = next_inner() if label == 1 else next_outer()
-        yield f"{get(id(p)) or _XY % p},{label},{order}\n"
+        yield f"{_XY % p},{label},{order}\n"
 
 
 def _points_csv(estimate) -> str:
@@ -149,11 +162,51 @@ def _points_csv(estimate) -> str:
     return "".join(_points_rows(estimate))
 
 
-def _queries_rows(log, texts: dict[int, str]) -> Iterator[str]:
-    """queries.csv lines: every logged query in order, with texts from _xy_texts."""
-    yield "order,x,y,label\n"
-    for order, (p, label) in enumerate(log):
-        yield f"{order},{texts[id(p)]},{label}\n"
+def _write_logged(out: Path, estimate, points: list, labels: list) -> None:
+    """Write points.csv and queries.csv together, in one pass over the query log.
+
+    points and labels are the run's query log (see _recording).  Its first
+    seed_queries + bisection_queries entries are the seed-scan and
+    bisection probes: they go to queries.csv alone, and the bracket pair
+    inner[0], outer[0] is found among them by identity.  By the point
+    contract in walk.py every later entry is the next estimate point after
+    the pair, so its text is formatted once for both files; an estimate
+    point that is not the logged object itself (an equal-valued copy, or a
+    twin that differs in the sign of a zero) is formatted on its own.  A
+    log whose walk entries do not pair 1:1 with the estimate raises
+    ValueError, and no file is written.
+    """
+    n_pre = estimate.seed_queries + estimate.bisection_queries
+    inner, outer = estimate.inner, estimate.outer
+    in0, out0 = inner[0], outer[0]
+    in_text = out_text = None
+    with _replacing(out / "points.csv", out / "queries.csv") as (pts, qs):
+        write_point, write_query = pts.write, qs.write
+        write_query("order,x,y,label\n")
+        for order in range(n_pre):
+            q = points[order]
+            text = _XY % q
+            write_query(f"{order},{text},{labels[order]}\n")
+            if q is in0:
+                in_text = text
+            elif q is out0:
+                out_text = text
+        write_point("x,y,label,order\n")
+        write_point(f"{in_text or _XY % in0},1,0\n{out_text or _XY % out0},0,1\n")
+        next_inner = islice(inner, 1, None).__next__
+        next_outer = islice(outer, 1, None).__next__
+        walk = zip(
+            islice(points, n_pre, None),
+            islice(labels, n_pre, None),
+            islice(estimate.labels_order, 2, None),
+            strict=True,
+        )
+        shift = n_pre - 2  # a walk point's log order, less its points.csv order
+        for order, (q, raw, label) in enumerate(walk, 2):
+            text = _XY % q
+            write_query(f"{order + shift},{text},{raw}\n")
+            p = next_inner() if label == 1 else next_outer()
+            write_point(f"{text if p is q else _XY % p},{label},{order}\n")
 
 
 def _cmd_run(args) -> int:
@@ -167,9 +220,10 @@ def _cmd_run(args) -> int:
             )
         check_cell(args.reference_cell)
     classifier = _make_classifier(args.classifier)
-    log: list[tuple[Point2, int]] = []
+    points: list[Point2] = []
+    labels: list[int] = []
     if args.log_queries:
-        classifier.label_fn = _recording(classifier.label_fn, log)
+        classifier.label_fn = _recording(classifier.label_fn, points, labels)
     config = _walk_config(args, args.epsilon)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -178,8 +232,10 @@ def _cmd_run(args) -> int:
     estimate = run_edge(classifier, config)
     wall = time.perf_counter() - t0
 
-    texts = _xy_texts(log) if args.log_queries else None
-    _atomic_write(out / "points.csv", _points_rows(estimate, texts))
+    if args.log_queries:
+        _write_logged(out, estimate, points, labels)
+    else:
+        _atomic_write(out / "points.csv", _points_rows(estimate))
     report = {
         "classifier": classifier.name,
         "epsilon": args.epsilon,
@@ -213,9 +269,6 @@ def _cmd_run(args) -> int:
             title=f"{classifier.name}  eps={args.epsilon:g}",
         )
         _atomic_write(out / "plot.svg", [svg])
-    if args.log_queries:
-        _atomic_write(out / "queries.csv", _queries_rows(log, texts))
-
     _atomic_write(out / "report.json", [json.dumps(report, indent=2) + "\n"])
     print(
         f"{classifier.name}: {estimate.termination.value} after "

@@ -38,8 +38,12 @@ keeps the partial estimate.
 Point contract: the geometry builds every candidate point, rim hit and
 bisection midpoint as a plain `(x, y)` tuple, and the walk makes a point a
 `Point2` once, right before it queries it.  So every estimate point is a
-`Point2`, and it is the same object the oracle was handed; `edgewalk run
---log-queries` relies on that to format each point once.
+`Point2`, and it is the same object the oracle was handed.  The bracket
+pair is among the seed-scan and bisection queries, and every query after
+them is the next estimate point: each walk or rim query is kept, and a
+budget death raises before its query reaches the oracle.
+`edgewalk run --log-queries` relies on this pairing to write points.csv
+and queries.csv in one pass, formatting each walk point once.
 """
 
 from __future__ import annotations

@@ -3,8 +3,12 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -159,14 +163,14 @@ class TestRun:
         assert 0.0 < report["asd"] < 3.0 * 0.2
 
     @staticmethod
-    def _assert_refused_before_walking(tmp_path, monkeypatch, argv):
+    def _assert_refused_before_walking(tmp_path, monkeypatch, record_queries, argv):
         # exit 4 with no file written and no oracle query spent
-        log = []
+        log = record_queries()
         build = cli._make_classifier
 
         def spy(spec):
             c = build(spec)
-            c.label_fn = cli._recording(c.label_fn, log)
+            log.watch(c)
             return c
 
         monkeypatch.setattr(cli, "_make_classifier", spy)
@@ -175,10 +179,13 @@ class TestRun:
         assert log == []
         assert not out.exists() or list(out.iterdir()) == []
 
-    def test_reference_cell_refused_for_network_classifier(self, tmp_path, monkeypatch):
+    def test_reference_cell_refused_for_network_classifier(
+        self, tmp_path, monkeypatch, record_queries
+    ):
         self._assert_refused_before_walking(
             tmp_path,
             monkeypatch,
+            record_queries,
             [
                 "run",
                 "dcopf",
@@ -194,10 +201,13 @@ class TestRun:
         )
 
     @pytest.mark.parametrize("cell", ["-1", "0", "nan", "inf"])
-    def test_bad_reference_cell_refused_before_walking(self, tmp_path, monkeypatch, cell):
+    def test_bad_reference_cell_refused_before_walking(
+        self, tmp_path, monkeypatch, record_queries, cell
+    ):
         self._assert_refused_before_walking(
             tmp_path,
             monkeypatch,
+            record_queries,
             ["run", "rosenbrock", "--epsilon", "0.05", f"--reference-cell={cell}"],
         )
 
@@ -482,44 +492,83 @@ coords = st.one_of(
 points = st.builds(Point2, coords, coords)
 
 
+def _twin(draw, p):
+    """p itself, an equal-valued copy, or a twin with each zero's sign flipped."""
+    choice = draw(st.integers(0, 2))
+    if choice == 0:
+        return p
+    if choice == 1:
+        return Point2(*p)
+    return Point2(-p.x if p.x == 0.0 else p.x, -p.y if p.y == 0.0 else p.y)
+
+
 @st.composite
 def logs_and_estimates(draw):
-    """A query log and an estimate over it.
+    """A query log and an estimate that keep the point contract.
 
-    The log may query one point object twice.  The estimate holds logged
-    point objects and fresh ones, including equal-valued copies and points
-    that differ from a logged one only in the sign of a zero.
+    The log opens with seed and bisection probes, which may query one
+    point object twice; the bracket pair is two of them, each the logged
+    object, an equal-valued copy or a signed-zero twin, or now and then a
+    point never logged.  Every later log entry pairs 1:1 with the
+    estimate's next point after the pair, which is the same object, an
+    equal-valued copy or a signed-zero twin of it.
     """
+    labels = st.sampled_from([0, 1])
     pool = draw(st.lists(points, min_size=1, max_size=12))
-    log = [
-        (pool[i], draw(st.sampled_from([0, 1])))
-        for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=30))
-    ]
-    picked = []
-    for choice in draw(st.lists(st.integers(0, 3), max_size=30)):
-        if choice < 2 and log:
-            picked.append(log[draw(st.integers(0, len(log) - 1))])
-            if choice == 1:
-                p, label = picked[-1]
-                picked[-1] = (Point2(-p.x if p.x == 0.0 else p.x, p.y), label)
-        elif choice == 2 and log:
-            p, label = log[draw(st.integers(0, len(log) - 1))]
-            picked.append((Point2(*p), label))
+    pool_index = st.integers(0, len(pool) - 1)
+    picks = draw(st.lists(pool_index, min_size=2, max_size=20))
+    probes = [(pool[i], draw(labels)) for i in picks]
+    pair = []
+    for _ in range(2):
+        if draw(st.integers(0, 7)):
+            pair.append(_twin(draw, probes[draw(st.integers(0, len(probes) - 1))][0]))
         else:
-            picked.append((draw(points), draw(st.sampled_from([0, 1]))))
+            pair.append(draw(points))
+    walk = [
+        (draw(st.one_of(points, st.sampled_from(pool))), draw(labels))
+        for _ in range(draw(st.integers(0, 30)))
+    ]
+    kept = [(pair[0], 1), (pair[1], 0), *((_twin(draw, q), label) for q, label in walk)]
+    seed_queries = draw(st.integers(0, len(probes)))
     estimate = BoundaryEstimate(
-        inner=[p for p, label in picked if label == 1],
-        outer=[p for p, label in picked if label == 0],
-        labels_order=[label for _, label in picked],
+        inner=[p for p, label in kept if label == 1],
+        outer=[p for p, label in kept if label == 0],
+        labels_order=[label for _, label in kept],
         epsilon=0.1,
         termination=Termination.CLOSED_LOOP,
-        total_queries=len(log),
-        seed_queries=0,
-        bisection_queries=0,
-        walk_queries=len(log),
+        total_queries=len(probes) + len(walk),
+        seed_queries=seed_queries,
+        bisection_queries=len(probes) - seed_queries,
+        walk_queries=len(walk),
         failure=None,
     )
-    return log, estimate
+    return probes + walk, estimate
+
+
+def write_logged(out, estimate, log):
+    cli._write_logged(out, estimate, [p for p, _ in log], [label for _, label in log])
+
+
+def clipped_disc():
+    """A disc of radius 0.6 centred on the right side: its walk steps the rim."""
+    return make_classifier(
+        lambda x, y: (x - 1.0) ** 2 + y * y,
+        0.36,
+        Domain(-1.0, 1.0, -1.0, 1.0),
+        "clipped-disc",
+    )
+
+
+LOGGED_RUNS = {
+    "seed-scan": (["rosenbrock", "--epsilon", "0.2"], 0),
+    "explicit-seeds": (
+        ["rosenbrock", "--epsilon", "0.2", "--seed-in=1,1", "--seed-out=-6,-2"],
+        0,
+    ),
+    "clipped-disc": (["disc", "--epsilon", "0.1"], 0),
+    "max-queries": (["rosenbrock", "--epsilon", "0.1", "--max-queries", "40"], 3),
+    "geometric-failure": (["rim", "--epsilon", "0.05"], 5),
+}
 
 
 class TestCsvWriters:
@@ -527,12 +576,15 @@ class TestCsvWriters:
     @given(logs_and_estimates())
     def test_writers_match_seed_f_strings(self, drawn):
         log, estimate = drawn
-        texts = cli._xy_texts(log)
-        assert "".join(cli._queries_rows(log, texts)) == seed_queries_csv(log)
-        assert "".join(cli._points_rows(estimate, texts)) == seed_points_csv(estimate)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            write_logged(out, estimate, log)
+            assert sorted(os.listdir(out)) == ["points.csv", "queries.csv"]
+            assert (out / "queries.csv").read_text() == seed_queries_csv(log)
+            assert (out / "points.csv").read_text() == seed_points_csv(estimate)
         assert cli._points_csv(estimate) == seed_points_csv(estimate)
 
-    def test_signed_zero_keeps_its_own_text(self):
+    def test_signed_zero_keeps_its_own_text(self, tmp_path):
         logged = Point2(0.0, 1.0)
         log = [(logged, 1), (Point2(2.0, 3.0), 0), (logged, 1)]
         estimate = BoundaryEstimate(
@@ -542,11 +594,105 @@ class TestCsvWriters:
             epsilon=0.1,
             termination=Termination.CLOSED_LOOP,
             total_queries=3,
-            seed_queries=0,
+            seed_queries=2,
             bisection_queries=0,
-            walk_queries=3,
+            walk_queries=1,
             failure=None,
         )
-        text = "".join(cli._points_rows(estimate, cli._xy_texts(log)))
+        write_logged(tmp_path, estimate, log)
+        text = (tmp_path / "points.csv").read_text()
         assert text == "x,y,label,order\n0,1,1,0\n2,3,0,1\n-0,1,1,2\n"
         assert text == seed_points_csv(estimate)
+        assert (tmp_path / "queries.csv").read_text() == seed_queries_csv(log)
+
+    @pytest.mark.parametrize("case", LOGGED_RUNS)
+    def test_logged_runs_match_seed_f_strings(
+        self, request, tmp_path, monkeypatch, record_queries, case
+    ):
+        argv, code = LOGGED_RUNS[case]
+        if case == "clipped-disc":
+            monkeypatch.setattr(cli, "_make_classifier", lambda spec: clipped_disc())
+        elif case == "geometric-failure":
+            argv = argv + request.getfixturevalue("rim_interior")
+        build, run_edge = cli._make_classifier, cli.run_edge
+        log, estimates = record_queries(), []
+
+        def spy(spec):
+            c = build(spec)
+            log.watch(c)
+            return c
+
+        def run_edge_kept(c, config):
+            estimates.append(run_edge(c, config))
+            return estimates[-1]
+
+        monkeypatch.setattr(cli, "_make_classifier", spy)
+        monkeypatch.setattr(cli, "run_edge", run_edge_kept)
+        out = tmp_path / "o"
+        assert main(["run", *argv, "--log-queries", "--out", str(out)]) == code
+        (estimate,) = estimates
+        assert estimate.walk_queries > 0
+        assert len(log) == estimate.total_queries
+        if case == "clipped-disc":
+            assert any(p.x == 1.0 for p in estimate.inner)
+        assert (out / "queries.csv").read_text() == seed_queries_csv(log)
+        assert (out / "points.csv").read_text() == seed_points_csv(estimate)
+
+
+class TestFailedWrites:
+    """A write that raises partway leaves no temporary and no half-written file."""
+
+    def test_row_generator_raising_leaves_nothing(self, tmp_path, monkeypatch):
+        rows = cli._points_rows
+
+        def failing_rows(estimate):
+            for n, line in enumerate(rows(estimate)):
+                if n == 10:
+                    raise OSError("disk full")
+                yield line
+
+        monkeypatch.setattr(cli, "_points_rows", failing_rows)
+        out = tmp_path / "o"
+        with pytest.raises(OSError, match="disk full"):
+            main(["run", "rosenbrock", "--epsilon", "0.2", "--out", str(out)])
+        assert list(out.iterdir()) == []
+
+    def test_unpaired_log_leaves_earlier_files_as_they_were(self, tmp_path):
+        a, b = Point2(0.0, 0.0), Point2(1.0, 0.0)
+        estimate = BoundaryEstimate(
+            inner=[a],
+            outer=[b],
+            labels_order=[1, 0],
+            epsilon=0.1,
+            termination=Termination.CLOSED_LOOP,
+            total_queries=2,
+            seed_queries=2,
+            bisection_queries=0,
+            walk_queries=0,
+            failure=None,
+        )
+        (tmp_path / "points.csv").write_text("earlier\n")
+        # one walk entry more than the estimate has points after the pair
+        with pytest.raises(ValueError):
+            write_logged(tmp_path, estimate, [(a, 1), (b, 0), (Point2(0.5, 0.5), 1)])
+        assert sorted(os.listdir(tmp_path)) == ["points.csv"]
+        assert (tmp_path / "points.csv").read_text() == "earlier\n"
+
+
+def test_logged_run_stays_under_200_bytes_per_query(tmp_path):
+    """Memory guard: the query log and its writer add little beyond the estimate.
+
+    The points the estimate keeps set a floor of about 136 bytes per query;
+    a text table or a tuple per query shows as over 300.
+    """
+    argv = ["run", "rosenbrock", "--epsilon", "0.01", "--log-queries"]
+    argv += ["--out", str(tmp_path)]
+    assert main(argv) == 0  # warm-up: imports and caches are not the run's
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    queries = json.loads((tmp_path / "report.json").read_text())["total_queries"]
+    assert peak / queries < 200

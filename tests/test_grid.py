@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from edgewalk.classifier import make_classifier, make_test_classifier
-from edgewalk.cli import _make_classifier, _recording
+from edgewalk.cli import _make_classifier
 from edgewalk.errors import InputError
 from edgewalk.geometry import Domain, Point2
 from edgewalk.grid import GridEstimate, grid_shape, run_grid
@@ -33,11 +33,10 @@ def test_hand_worked_three_by_three():
     assert g.outer == [Point2(1.0, 0.0), Point2(0.5, 0.5), Point2(0.0, 1.0)]
 
 
-def test_queries_scan_rows_bottom_up():
+def test_queries_scan_rows_bottom_up(record_queries):
     dom = Domain(0.0, 1.0, 0.0, 1.0)
     c = make_classifier(lambda x, y: x + y, 0.75, dom, "diag")
-    log = []
-    c.label_fn = _recording(c.label_fn, log)
+    log = record_queries(c)
     run_grid(c, 0.5)
     seen = [p for p, _ in log]
     assert seen[:4] == [
@@ -108,11 +107,9 @@ def _bits(p):
     "spec, epsilon",
     [("rosenbrock", 0.1), ("goldstein_price", 0.1), ("beale", 0.1), ("dcopf", 0.2)],
 )
-def test_scan_matches_item_by_item_oracle(spec, epsilon):
+def test_scan_matches_item_by_item_oracle(spec, epsilon, record_queries):
     oracle_c, c = _make_classifier(spec), _make_classifier(spec)
-    oracle_log, log = [], []
-    oracle_c.label_fn = _recording(oracle_c.label_fn, oracle_log)
-    c.label_fn = _recording(c.label_fn, log)
+    oracle_log, log = record_queries(oracle_c), record_queries(c)
     labels = _labels_by_item(oracle_c, epsilon)
     g = run_grid(c, epsilon)
 

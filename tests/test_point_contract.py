@@ -10,7 +10,7 @@ import pytest
 
 from edgewalk import cli
 from edgewalk.classifier import make_classifier
-from edgewalk.cli import _recording, main
+from edgewalk.cli import main
 from edgewalk.geometry import (
     Domain,
     Point2,
@@ -41,10 +41,9 @@ def on_rim(p):
     [{}, {"seed_interior": (0.9, 0.0), "seed_exterior": (-0.9, 0.0)}],
     ids=["seed-scan", "explicit-seeds"],
 )
-def test_every_estimate_point_is_a_point2(seeds):
+def test_every_estimate_point_is_a_point2(seeds, record_queries):
     c = clipped_disc()
-    log = []
-    c.label_fn = _recording(c.label_fn, log)
+    log = record_queries(c)
     est = run_edge(c, EdgeConfig(epsilon=0.1, **seeds))
     assert est.termination.value == "closed_loop"
     assert est.bisection_queries > 0
@@ -70,10 +69,9 @@ def test_geometry_returns_plain_tuples():
     assert all(type(p) is tuple for p, _ in hits)
 
 
-def test_grid_queries_plain_tuples_and_keeps_point2():
+def test_grid_queries_plain_tuples_and_keeps_point2(record_queries):
     c = clipped_disc()
-    log = []
-    c.label_fn = _recording(c.label_fn, log)
+    log = record_queries(c)
     g = run_grid(c, 0.1)
     assert len(log) == g.total_queries == 21 * 21
     assert all(type(p) is tuple for p, _ in log)
@@ -88,22 +86,25 @@ def test_grid_queries_plain_tuples_and_keeps_point2():
 )
 def test_logged_run_formats_each_estimate_point_once(tmp_path, monkeypatch, extra):
     monkeypatch.setattr(cli, "_make_classifier", lambda spec: clipped_disc())
-    estimates, logs = [], []
+    written = []
+    write = cli._write_logged
 
-    def run_edge_kept(c, config):
-        estimates.append(run_edge(c, config))
-        return estimates[-1]
+    def write_kept(out, estimate, points, labels):
+        written.append((estimate, points))
+        write(out, estimate, points, labels)
 
-    def xy_texts_kept(log):
-        logs.append(log)
-        return texts(log)
-
-    texts = cli._xy_texts
-    monkeypatch.setattr(cli, "run_edge", run_edge_kept)
-    monkeypatch.setattr(cli, "_xy_texts", xy_texts_kept)
+    monkeypatch.setattr(cli, "_write_logged", write_kept)
     argv = ["run", "disc", "--epsilon", "0.1", "--log-queries", "--out", str(tmp_path)]
     assert main(argv + extra) == 0
-    (est,), (log,) = estimates, logs
-    logged = {id(p) for p, _ in log}
+    ((est, log),) = written
+    logged = {id(p) for p in log}
     assert len(log) == est.total_queries
     assert all(id(p) in logged for p in est.inner + est.outer)
+    # the writer's pairing: the bracket pair among the seed and bisection
+    # probes, then each later query is the next estimate point itself
+    n_pre = est.seed_queries + est.bisection_queries
+    assert any(p is est.inner[0] for p in log[:n_pre])
+    assert any(p is est.outer[0] for p in log[:n_pre])
+    after_pair = [p for p, _ in est.points_in_order()[2:]]
+    assert len(after_pair) == len(log) - n_pre
+    assert all(p is q for p, q in zip(after_pair, log[n_pre:]))

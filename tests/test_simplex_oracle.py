@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgewalk.cli import _recording
 from edgewalk.dcopf import build_feasibility_lp, default_network, lp_feasible, make_dcopf_classifier
 from edgewalk.errors import InputError, SolverError
 from edgewalk.geometry import Point2
@@ -180,10 +179,9 @@ def assert_same_label(p):
     return status != "infeasible"
 
 
-def test_study_queries_match_seed_solver():
+def test_study_queries_match_seed_solver(record_queries):
     c = make_dcopf_classifier(default_network())
-    log = []
-    c.label_fn = _recording(c.label_fn, log)
+    log = record_queries(c)
     est = run_edge(
         c,
         EdgeConfig(
@@ -325,10 +323,9 @@ def _assert_identical(got, want):
     assert np.array_equal(got.x, want.x)
 
 
-def _study_points():
+def _study_points(record_queries):
     c = make_dcopf_classifier(default_network())
-    log = []
-    c.label_fn = _recording(c.label_fn, log)
+    log = record_queries(c)
     run_edge(
         c,
         EdgeConfig(
@@ -346,8 +343,8 @@ def _study_points():
     return walk + grid + tie
 
 
-def test_prepared_program_matches_one_shot_solves_in_any_order():
-    points = _study_points()
+def test_prepared_program_matches_one_shot_solves_in_any_order(record_queries):
+    points = _study_points(record_queries)
     zero = np.zeros(LP.program.A.shape[1])
     want = {p: _fresh_solve(zero, p) for p in points}
     shuffled = list(points)

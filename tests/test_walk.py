@@ -6,7 +6,6 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from edgewalk.classifier import make_classifier, make_test_classifier
-from edgewalk.cli import _recording
 from edgewalk.errors import (
     BudgetExhaustedError,
     FullPerimeterError,
@@ -47,12 +46,11 @@ def bisect_only(c, x_in, x_out, eps, expected):
 
 
 class TestBisect:
-    def test_hand_worked_linear_case(self):
+    def test_hand_worked_linear_case(self, record_queries):
         # boundary at x = 0.7, seeds 1.0 apart, epsilon 0.1:
         # midpoints 0.5, 0.75, 0.625, 0.6875 then the gap is 0.0625
         c = make_classifier(lambda x, y: x, 0.7, UNIT_SQUARE, "ramp")
-        asked = []
-        c.label_fn = _recording(c.label_fn, asked)
+        asked = record_queries(c)
         est = bisect_only(c, Point2(0.0, 0.0), Point2(1.0, 0.0), 0.1, 4)
         assert est.termination is Termination.BUDGET_EXHAUSTED
         assert est.bisection_queries == 4
