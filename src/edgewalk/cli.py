@@ -6,8 +6,10 @@ across several step sizes, and `dispatch` prints the least-cost schedule
 of the packaged five-bus network for a fixed pair of renewable
 injections.
 
-Exit codes: 0 on success, 2 when no boundary exists in the domain, 3 when
-the query budget dies first, 4 for bad input, 5 for geometric failures.
+Exit codes: 0 on success, 1 when an output cannot be written (or for any
+other package error), 2 when no boundary exists in the domain, 3 when the
+query budget dies first, 4 for bad input, 5 for geometric failures.  Each
+error ends in one `error: ...` line on stderr.
 When the budget dies or the geometry fails mid-walk, `run` still writes
 the partial estimate.
 
@@ -459,7 +461,7 @@ def main(argv=None) -> int:
     except GeometricFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except EdgewalkError as exc:
+    except (EdgewalkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

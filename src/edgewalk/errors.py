@@ -38,7 +38,7 @@ class StalledWalkError(GeometricFailureError):
 
 
 class FullPerimeterError(GeometricFailureError):
-    """A perimeter walk went all the way around without finding a label change."""
+    """A rim episode went all the way round without finding a label change."""
 
 
 class EmptyContourError(EdgewalkError):

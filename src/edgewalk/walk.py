@@ -8,40 +8,48 @@ and appends it to the set matching its label.  Every appended point is
 thereby within epsilon of a point of the opposite label, which brackets the
 decision boundary between them.
 
-When a test point falls outside the domain, the walk switches to stepping
-along the domain perimeter until the boundary re-enters, then resumes.
-A perimeter episode enters the rim with a search of all four sides
+The walk is one loop with two modes.  A decision step intersects the
+two circles, as above.  When its test point falls outside the domain, a
+rim episode begins: the walk steps along the domain perimeter until it
+finds an exterior point, then goes back to decision steps.  An episode
+enters the rim with a search of all four sides
 (`perimeter_circle_intersection`).  Each later rim step starts from a rim
 point on one side, and while no other side's line lies within reach of
 its circle it steps along that side alone (`step_along_side`), in
 constant time; at corners, and wherever that step cannot decide, the
 full search and the nearest-ahead rule take the step.  Both pick the
-same point, bit for bit.
+same point, bit for bit.  The loop's state is small: the mode, the rim
+direction and arclength, the arclength the current episode has covered,
+whether the walk has escaped its start, and the last decision test point.
+Every test point of either mode is queried and appended at one site, and
+the closure test runs there after a decision step or a rim exit.
 
 `run_edge` builds one `_Budget` per run and threads it through the seed
-scan, the bisection, the walk and the perimeter steps: it is their only
-handle on the oracle and the domain, so every query of a run passes
-through `_Budget.query`, and `run_edge` builds the estimate once, with its
-per-phase counts.
+scan, the bisection and the walk: it is their only handle on the oracle
+and the domain, so every query of a run passes through `_Budget.query`,
+and `run_edge` builds the estimate once, with its per-phase counts.
 
 Each step is one pass of float arithmetic: `circle_circle_intersection`
 and `select_forward` compute the next test point between the two circles
 in straight-line code, and the containment, stall and closure tests are
 inline comparisons.  Each step leaves the pair epsilon apart, and the
 bisection leaves it between epsilon/2 and epsilon apart unless the seeds
-start closer; `EdgeConfig.validate_for` refuses explicit seeds within the
-geometric tolerance of each other and an epsilon of at most twice that
-tolerance, so the pair never degenerates.  Any
-geometric failure mid-walk ends the walk with termination `failed` and
-keeps the partial estimate.
+start closer.  `EdgeConfig.validate_for` refuses explicit seeds within the
+geometric tolerance of each other, an epsilon of at most twice that
+tolerance, and one too small for a rim step to resolve against the side
+it stands on, so the pair never degenerates.  A budget death or a
+geometric failure anywhere in the walk, rim episodes included, ends it
+with termination `budget_exhausted` or `failed` and keeps the partial
+estimate.
 
 Point contract: the geometry builds every candidate point, rim hit and
-bisection midpoint as a plain `(x, y)` tuple, and the walk makes a point a
-`Point2` once, right before it queries it.  So every estimate point is a
-`Point2`, and it is the same object the oracle was handed.  The bracket
-pair is among the seed-scan and bisection queries, and every query after
-them is the next estimate point: each walk or rim query is kept, and a
-budget death raises before its query reaches the oracle.
+bisection midpoint as a plain `(x, y)` tuple; the bisection and the
+walk's one append site make a point a `Point2` once, right before they
+query it.  So every estimate point is a `Point2`, and it is the same
+object the oracle was handed.  The bracket pair is among the seed-scan
+and bisection queries, and every query after them is the next estimate
+point: each walk query, decision or rim, is kept, and a budget death
+raises before its query reaches the oracle.
 `edgewalk run --log-queries` relies on this pairing to write points.csv
 and queries.csv in one pass, formatting each walk point once.
 """
@@ -102,15 +110,38 @@ class EdgeConfig:
     max_queries: int | None = None
 
     def validate_for(self, domain: Domain) -> None:
+        """Refuse, before any query, a configuration the walk cannot run.
+
+        epsilon has two floors.  The bisection may leave the pair
+        epsilon/2 apart, so epsilon must exceed twice the geometric
+        tolerance, or the circles around the pair have no intersection to
+        step to.  And a rim step must resolve epsilon against the side it
+        stands on.  `side_circle_roots` solves a t^2 + b t + c = 0 for a
+        side of length L, a = L^2, around a centre at distance f, at most
+        about L, from the side's start: the discriminant b^2 - 4ac, which
+        should be 4 L^2 epsilon^2, is the difference of two terms of about
+        4 L^2 f^2.  Rounding f^2, c, a, b, b^2 and 4ac, each off by at most
+        u = 2^-53 of its value (b counts twice, being squared), leaves it
+        off by up to about 7 u 4 L^2 f^2.  While that is at most a quarter
+        of it, epsilon^2 >= 28 u f^2, the step comes out within about an
+        eighth of epsilon; once epsilon^2 falls below about 7 u f^2 the
+        discriminant may round to 0 or less, the two roots merge onto the
+        centre and the walk ends failed.  So epsilon must exceed
+        sqrt(28 u) L, about 5.6e-8 times the longest side.
+        """
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise InputError(f"epsilon must be positive and finite, got {self.epsilon}")
-        # the bisection may leave the pair epsilon/2 apart; at or below
-        # 2 tol that is within the tolerance, where the circles around the
-        # pair have no intersection to step to
         if self.epsilon <= 2.0 * domain.geom_tol:
             raise InputError(
                 f"epsilon {self.epsilon:g} must exceed twice the domain's "
                 f"geometric tolerance {domain.geom_tol:g}"
+            )
+        side = max(domain.width, domain.height)
+        rim_floor = math.sqrt(28.0 * 2.0**-53) * side
+        if self.epsilon <= rim_floor:
+            raise InputError(
+                f"epsilon {self.epsilon:g} must exceed {rim_floor:g}, the "
+                f"smallest rim step resolved on a side of length {side:g}"
             )
         if self.epsilon >= min(domain.width, domain.height):
             raise InputError(
@@ -237,87 +268,31 @@ def _bisect(
     return x_in, x_out
 
 
-def domain_boundary_walk(
-    budget: _Budget,
-    inner: list[Point2],
-    outer: list[Point2],
-    labels_order: list[int],
-    epsilon: float,
-) -> int:
-    """Step along the domain perimeter until the interior set ends.
+def _rim_entry(
+    domain: Domain, in_end: Point2, out_end: Point2, epsilon: float
+) -> tuple[XY, float, float]:
+    """Where a rim episode starts, and which way round it steps.
 
-    Invoked when the boundary runs off the domain: starting from the two
-    perimeter points at distance epsilon from the latest inner point, the
-    walk picks the one farther from the latest outer point, then advances
-    monotonically along the perimeter in epsilon steps, appending interior
-    points, until the first exterior point is found and appended.  Returns
-    the number of points appended.
-
-    Each step after the entry is the nearest perimeter point more than tol
-    ahead at distance epsilon.  Away from corners `step_along_side` finds
-    it on the current side alone; where two sides lie within reach, or
-    the on-side step cannot decide, `perimeter_circle_intersection`
-    searches all four sides for it.
+    Of the perimeter points at distance epsilon from in_end, the episode
+    starts at the one farther from out_end, at arclength s, and steps away
+    from the nearest other one.  Returns (point, s, direction), direction
+    +1.0 counter-clockwise and -1.0 clockwise.
     """
-    domain = budget.domain
-    tol = domain.geom_tol
-    period = domain.perimeter
-    cands = perimeter_circle_intersection(domain, inner[-1], epsilon)
+    cands = perimeter_circle_intersection(domain, in_end, epsilon)
     if not cands:
         raise GeometricFailureError(
-            f"no perimeter point at distance {epsilon} from {inner[-1]}"
+            f"no perimeter point at distance {epsilon} from {in_end}"
         )
-    out_end = outer[-1]
-    x_test, s_cur = max(cands, key=lambda ps: distance(ps[0], out_end))
-    if len(cands) > 1:
-        other_deltas = [
-            wrapped_delta(s, s_cur, period)
-            for p, s in cands
-            if abs(s - s_cur) > tol
-        ]
-        nearest = min(other_deltas, key=abs)
-        direction = 1.0 if nearest >= 0.0 else -1.0
-    else:
-        direction = 1.0
-    query = budget.query
-    half_period = 0.5 * period
-    appended = 0
-    span = 0.0
-    while True:
-        x_test = _new_point(Point2, x_test)
-        if query(x_test) == 0:
-            outer.append(x_test)
-            labels_order.append(0)
-            return appended + 1
-        inner.append(x_test)
-        labels_order.append(1)
-        appended += 1
-        step = step_along_side(domain, x_test, s_cur, epsilon, direction)
-        if step is not None:
-            p_new, s_new, d_new = step
-        else:
-            # a corner, or a step the one side cannot decide: the nearest
-            # hit ahead among all sides, as min() over (delta, s, point)
-            # would pick it
-            d_new = math.inf
-            for p, s in perimeter_circle_intersection(domain, x_test, epsilon):
-                d = (s - s_cur) % period  # wrapped_delta(s_cur, s, period)
-                if d > half_period:
-                    d -= period
-                d *= direction
-                if tol < d < d_new or (d == d_new and (s, p) < (s_new, p_new)):
-                    d_new, s_new, p_new = d, s, p
-            if d_new == math.inf:
-                raise GeometricFailureError(
-                    f"domain walk found no forward perimeter point from {x_test}"
-                )
-        span += d_new
-        if span >= period:
-            raise FullPerimeterError(
-                "perimeter walk traversed the full domain boundary without "
-                "leaving the interior set"
-            )
-        x_test, s_cur = p_new, s_new
+    point, s_cur = max(cands, key=lambda ps: distance(ps[0], out_end))
+    tol = domain.geom_tol
+    others = [
+        wrapped_delta(s, s_cur, domain.perimeter)
+        for _, s in cands
+        if abs(s - s_cur) > tol
+    ]
+    if others and min(others, key=abs) < 0.0:
+        return point, s_cur, -1.0
+    return point, s_cur, 1.0
 
 
 def decision_boundary_walk(
@@ -330,85 +305,135 @@ def decision_boundary_walk(
     """Trace the boundary in epsilon steps from a tightened bracket.
 
     inner and outer hold the bracket pair on entry; the walk appends to
-    them and to labels_order.  Each step intersects the epsilon-circles
-    around the latest inner and outer points and queries the intersection
-    lying ahead of the pair (on the left of the inner-to-outer direction).
-    The queried point joins the set matching its label.  Off-domain test
-    points trigger a perimeter walk.  The loop closes once the walk has first escaped the start
-    bracket (beyond two epsilon) and the latest point then returns to
-    within epsilon of a start point; walks on features too small to escape
-    run until the budget ends.  A budget death or a geometric failure ends
-    the walk with the points found so far.  Returns the termination and,
-    for failed, the failure message.
+    them and to labels_order.  It runs in one of two modes.  A decision
+    step intersects the epsilon-circles around the latest inner and outer
+    points and takes the intersection lying ahead of the pair (on the left
+    of the inner-to-outer direction).  When that point falls outside the
+    domain, a rim episode begins where `_rim_entry` puts it, and the walk
+    steps monotonically along the perimeter, each step the nearest
+    perimeter point more than tol ahead at distance epsilon, until it
+    finds an exterior point and resumes decision steps.  Away from corners
+    `step_along_side` finds that step on the current side alone; where two
+    sides lie within reach, or the on-side step cannot decide,
+    `perimeter_circle_intersection` searches all four sides for it.  An
+    episode whose steps add up to the whole perimeter raises
+    FullPerimeterError.
+
+    Every test point is queried and appended at one site, which files it
+    by its label.  The closure test runs there after a decision step or
+    a rim exit, never after an interior rim point: the loop closes once
+    the walk has first escaped the start bracket (beyond two epsilon) and
+    the latest point then returns to within epsilon of a start point;
+    walks on features too small to escape run until the budget ends.  A
+    budget death or a geometric failure ends the walk with the points
+    found so far.  Returns the termination and, for failed, the failure
+    message.
     """
     domain = budget.domain
     tol = domain.geom_tol
+    period = domain.perimeter
+    half_period = 0.5 * period
     query = budget.query
     hypot = math.hypot
     x_lo, x_hi = domain.x_min - tol, domain.x_max + tol
     y_lo, y_hi = domain.y_min - tol, domain.y_max + tol
-    # the latest inner and outer points, the pair each step starts from
+    # the latest inner and outer points, the pair each decision step starts from
     in_end, out_end = inner[-1], outer[-1]
     (xi0, yi0), (xo0, yo0) = inner[0], outer[0]
     steps = 0
     last_test: XY | None = None
     escaped = False
-    termination = Termination.CLOSED_LOOP
-    failure = None
-    while True:
-        try:
-            cands = circle_circle_intersection(in_end, out_end, epsilon, tol)
-            x_test = select_forward(in_end, out_end, cands, tol)
-            x, y = x_test
-            if (
-                last_test is not None
-                and hypot(x - last_test[0], y - last_test[1]) <= tol
-            ):
-                raise StalledWalkError(
-                    f"walk repeated test point {x_test} after {steps} steps"
-                )
-            last_test = x_test
-            if x_lo <= x <= x_hi and y_lo <= y <= y_hi:
-                x_test = _new_point(Point2, x_test)
-                if query(x_test) == 1:
-                    inner.append(x_test)
-                    labels_order.append(1)
-                    in_end = x_test
+    # rim mode: the walk stands on the rim at in_end, arclength s_cur, and
+    # has moved span along it, in direction, since the episode began
+    on_rim = False
+    s_cur = span = direction = 0.0
+    try:
+        while True:
+            if on_rim:
+                step = step_along_side(domain, in_end, s_cur, epsilon, direction)
+                if step is not None:
+                    x_test, s_new, d_new = step
                 else:
-                    outer.append(x_test)
-                    labels_order.append(0)
-                    out_end = x_test
-                steps += 1
+                    # a corner, or a step the one side cannot decide: the
+                    # nearest hit ahead among all sides, as min() over
+                    # (delta, s, point) would pick it
+                    d_new = math.inf
+                    for p, s in perimeter_circle_intersection(domain, in_end, epsilon):
+                        d = (s - s_cur) % period  # wrapped_delta(s_cur, s, period)
+                        if d > half_period:
+                            d -= period
+                        d *= direction
+                        if tol < d < d_new or (d == d_new and (s, p) < (s_new, x_test)):
+                            d_new, s_new, x_test = d, s, p
+                    if d_new == math.inf:
+                        raise GeometricFailureError(
+                            "domain walk found no forward perimeter point "
+                            f"from {in_end}"
+                        )
+                span += d_new
+                if span >= period:
+                    raise FullPerimeterError(
+                        "perimeter walk traversed the full domain boundary without "
+                        "leaving the interior set"
+                    )
+                s_cur = s_new
             else:
-                steps += domain_boundary_walk(
-                    budget, inner, outer, labels_order, epsilon
-                )
-                in_end, out_end = inner[-1], outer[-1]
-                x, y = out_end
-                last_test = None
-        except BudgetExhaustedError:
-            termination = Termination.BUDGET_EXHAUSTED
-            break
-        except GeometricFailureError as exc:
-            termination = Termination.FAILED
-            failure = str(exc)
-            break
-        # distance of the latest point to the nearer start point
-        back_dist = hypot(x - xi0, y - yi0)
-        to_outer = hypot(x - xo0, y - yo0)
-        if to_outer < back_dist:
-            back_dist = to_outer
-        if escaped:
-            if (
-                back_dist <= epsilon
-                and steps >= 3
-                and len(inner) > 1
-                and len(outer) > 1
-            ):
-                break
-        elif back_dist > 2.0 * epsilon:
-            escaped = True
-    return termination, failure
+                cands = circle_circle_intersection(in_end, out_end, epsilon, tol)
+                x_test = select_forward(in_end, out_end, cands, tol)
+                x, y = x_test
+                if (
+                    last_test is not None
+                    and hypot(x - last_test[0], y - last_test[1]) <= tol
+                ):
+                    raise StalledWalkError(
+                        f"walk repeated test point {x_test} after {steps} steps"
+                    )
+                last_test = x_test
+                if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
+                    # the boundary ran off the domain: enter the rim
+                    x_test, s_cur, direction = _rim_entry(
+                        domain, in_end, out_end, epsilon
+                    )
+                    span = 0.0
+                    on_rim = True
+            # the one append site: a walk point becomes a Point2 here,
+            # right before its query, and joins the set of its label
+            x_test = _new_point(Point2, x_test)
+            steps += 1
+            if query(x_test) == 1:
+                inner.append(x_test)
+                labels_order.append(1)
+                in_end = x_test
+                if on_rim:
+                    continue
+            else:
+                outer.append(x_test)
+                labels_order.append(0)
+                out_end = x_test
+                if on_rim:
+                    # the rim exit: decision steps resume from here
+                    on_rim = False
+                    last_test = None
+                    x, y = x_test
+            # distance of the latest point, (x, y), to the nearer start point
+            back_dist = hypot(x - xi0, y - yi0)
+            to_outer = hypot(x - xo0, y - yo0)
+            if to_outer < back_dist:
+                back_dist = to_outer
+            if escaped:
+                if (
+                    back_dist <= epsilon
+                    and steps >= 3
+                    and len(inner) > 1
+                    and len(outer) > 1
+                ):
+                    return Termination.CLOSED_LOOP, None
+            elif back_dist > 2.0 * epsilon:
+                escaped = True
+    except BudgetExhaustedError:
+        return Termination.BUDGET_EXHAUSTED, None
+    except GeometricFailureError as exc:
+        return Termination.FAILED, str(exc)
 
 
 def _seed_search(budget: _Budget, epsilon: float) -> tuple[Point2, Point2]:

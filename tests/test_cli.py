@@ -640,9 +640,14 @@ class TestCsvWriters:
 
 
 class TestFailedWrites:
-    """A write that raises partway leaves no temporary and no half-written file."""
+    """A write that fails leaves no temporary and no half-written file.
 
-    def test_row_generator_raising_leaves_nothing(self, tmp_path, monkeypatch):
+    run reports it in one error line on stderr and exits 1.
+    """
+
+    def test_row_generator_raising_leaves_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
         rows = cli._points_rows
 
         def failing_rows(estimate):
@@ -653,9 +658,19 @@ class TestFailedWrites:
 
         monkeypatch.setattr(cli, "_points_rows", failing_rows)
         out = tmp_path / "o"
-        with pytest.raises(OSError, match="disk full"):
-            main(["run", "rosenbrock", "--epsilon", "0.2", "--out", str(out)])
+        assert main(["run", "rosenbrock", "--epsilon", "0.2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
         assert list(out.iterdir()) == []
+
+    def test_out_under_a_file_is_one_error_line(self, tmp_path, capsys):
+        blocker = tmp_path / "report.json"
+        blocker.write_text("{}")
+        out = blocker / "x"
+        assert main(["run", "rosenbrock", "--epsilon", "0.2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
+        assert blocker.read_text() == "{}"
 
     def test_unpaired_log_leaves_earlier_files_as_they_were(self, tmp_path):
         a, b = Point2(0.0, 0.0), Point2(1.0, 0.0)

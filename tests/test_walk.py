@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from edgewalk.classifier import make_classifier, make_test_classifier
 from edgewalk.errors import (
     BudgetExhaustedError,
-    FullPerimeterError,
     InputError,
     NoBoundaryFoundError,
 )
@@ -17,7 +16,7 @@ from edgewalk.walk import (
     EdgeConfig,
     Termination,
     _Budget,
-    domain_boundary_walk,
+    decision_boundary_walk,
     run_edge,
 )
 
@@ -177,19 +176,21 @@ def _dist_to_polyline(p, verts):
     return best
 
 
+def half_strip():
+    """y < 0.5 on the unit square, walked from a bracket across its line."""
+    c = make_classifier(lambda x, y: y, 0.5, UNIT_SQUARE, "half")
+    seeds = {"seed_interior": (0.5, 0.25), "seed_exterior": (0.5, 0.75)}
+    return c, seeds
+
+
 class TestDomainClippedWalk:
     # lower half-strip: the region boundary leaves the domain on both
     # sides, so the walk must round three perimeter edges and two corners
     EPS = 0.05
 
     def run(self):
-        c = make_classifier(lambda x, y: y, 0.5, UNIT_SQUARE, "half")
-        cfg = EdgeConfig(
-            epsilon=self.EPS,
-            seed_interior=Point2(0.5, 0.25),
-            seed_exterior=Point2(0.5, 0.75),
-        )
-        return run_edge(c, cfg)
+        c, seeds = half_strip()
+        return run_edge(c, EdgeConfig(epsilon=self.EPS, **seeds))
 
     def test_closes_around_the_clipped_region(self):
         est = self.run()
@@ -214,13 +215,24 @@ class TestDomainClippedWalk:
 
 
 def test_domain_walk_raises_after_full_lap():
+    # every point is interior, so the rim episode the first decision step
+    # starts never finds an exterior point and goes all the way round
     dom = UNIT_SQUARE
     c = make_classifier(lambda x, y: -1.0, 0.0, dom, "allin")
     inner = [Point2(0.5, 0.001)]
-    outer = [Point2(0.5, 0.06)]
+    outer = [Point2(0.5, 0.04)]
     labels = [1, 0]
-    with pytest.raises(FullPerimeterError):
-        domain_boundary_walk(_Budget(c, 1000), inner, outer, labels, 0.05)
+    termination, failure = decision_boundary_walk(
+        _Budget(c, 1000), inner, outer, labels, 0.05
+    )
+    assert termination is Termination.FAILED
+    assert failure == (
+        "perimeter walk traversed the full domain boundary without "
+        "leaving the interior set"
+    )
+    assert labels[2:] == [1] * c.query_count
+    on_rim = [p for p in inner if p.x in (0.0, 1.0) or p.y in (0.0, 1.0)]
+    assert len(on_rim) >= dom.perimeter / 0.05
 
 
 def rim_interior_half_plane():
@@ -267,18 +279,41 @@ def test_single_label_domain_reports_no_boundary():
         run_edge(c, EdgeConfig(epsilon=0.1))
 
 
-def test_budget_death_in_walk_returns_partial_estimate():
-    c = unit_circle_classifier()
-    cfg = EdgeConfig(
-        epsilon=0.05,
-        seed_interior=Point2(0.0, 0.0),
-        seed_exterior=Point2(1.9, 0.0),
-        max_queries=40,
-    )
-    est = run_edge(c, cfg)
+def test_budget_death_in_walk_returns_partial_estimate(record_queries):
+    # the budget ends among decision steps on the unit circle, and inside
+    # the rim episode along the bottom of the half-strip, whose 12 decision
+    # steps come after 6 seed and bisection queries
+    circle = unit_circle_classifier()
+    circle_seeds = {"seed_interior": (0.0, 0.0), "seed_exterior": (1.9, 0.0)}
+    for c, seeds, on_rim_at_death in [
+        (circle, circle_seeds, False),
+        (*half_strip(), True),
+    ]:
+        asked = record_queries(c)
+        est = run_edge(c, EdgeConfig(epsilon=0.05, max_queries=40, **seeds))
+        assert est.termination is Termination.BUDGET_EXHAUSTED
+        assert est.total_queries == 40
+        assert len(est.inner) + len(est.outer) > 4
+        last, label = est.points_in_order()[-1]
+        assert (label == 1 and on_rim(last, c.domain)) is on_rim_at_death
+        # every query after the bracket pair is the next estimate point
+        walk = asked[est.seed_queries + est.bisection_queries :]
+        kept = est.points_in_order()[2:]
+        assert len(walk) == len(kept) == est.walk_queries
+        assert all(p is q and a == b for (p, a), (q, b) in zip(walk, kept))
+
+
+def test_rim_span_resets_at_each_episode():
+    # 20 rim episodes cover about 29.5 of arclength on a perimeter of 8; a
+    # span carried from one episode to the next would end the walk failed
+    # on a full lap.  The walk misses closure and runs out of budget.
+    dom = Domain(-1.0, 1.0, -1.0, 1.0)
+    c = make_classifier(lambda x, y: -0.44 * x + 1.17 * y, -1.109, dom)
+    est = run_edge(c, EdgeConfig(epsilon=0.03))
     assert est.termination is Termination.BUDGET_EXHAUSTED
-    assert est.total_queries == 40
-    assert len(est.inner) + len(est.outer) > 4
+    assert est.total_queries == 2667
+    rim_steps = [p for p in est.inner if on_rim(p, dom)]
+    assert len(rim_steps) * 0.03 > 3 * dom.perimeter
 
 
 def test_budget_death_before_walk_raises():
@@ -348,12 +383,36 @@ def test_epsilon_within_twice_the_tolerance_is_refused_before_any_query():
         with pytest.raises(InputError, match="geometric tolerance"):
             run_edge(c, EdgeConfig(epsilon=eps))
         assert c.query_count == 0
-    # one ulp above the bound the walk steps until its budget ends
+    # the rim floor lies above that bound here; one ulp above the floor
+    # the walk steps until its budget ends
     c = make_classifier(lambda x, y: x, 0.1, dom)
-    eps = math.nextafter(bound, math.inf)
+    eps = math.nextafter(RIM_FLOOR, math.inf)
     est = run_edge(c, EdgeConfig(epsilon=eps, max_queries=300))
     assert est.termination is Termination.BUDGET_EXHAUSTED
     assert est.walk_queries > 200
+
+
+# sqrt(28 u) times the longest side of [-1, 1]^2, u = 2^-53: the smallest
+# epsilon a rim step resolves there (see EdgeConfig.validate_for)
+RIM_FLOOR = math.sqrt(28.0 * 2.0**-53) * 2.0  # about 1.1e-7
+
+
+def test_epsilon_the_rim_step_cannot_resolve_is_refused_before_any_query():
+    # above twice the tolerance, but a rim step's quadratic rounds these
+    # epsilons away against the side: the half-plane's walk used to reach
+    # the right side and end failed after 32-33 queries
+    dom = Domain(-1.0, 1.0, -1.0, 1.0)
+    assert 2.0 * dom.geom_tol < 6e-9 < 1e-8 < RIM_FLOOR
+    for eps in (6e-9, 1e-8, RIM_FLOOR):
+        c = make_classifier(lambda x, y: 0.3 * x - 0.7 * y, 0.1, dom)
+        with pytest.raises(InputError, match="smallest rim step"):
+            run_edge(c, EdgeConfig(epsilon=eps))
+        assert c.query_count == 0
+    c = make_classifier(lambda x, y: 0.3 * x - 0.7 * y, 0.1, dom)
+    eps = math.nextafter(RIM_FLOOR, math.inf)
+    est = run_edge(c, EdgeConfig(epsilon=eps, max_queries=300))
+    assert est.termination is not Termination.FAILED
+    assert any(on_rim(p, dom) for p in est.inner + est.outer)
 
 
 @pytest.mark.parametrize(
