@@ -11,6 +11,12 @@ reactance equals the angle difference of its end buses; per bus, outgoing
 minus incoming flow equals net injection.  Feasibility is decided by the
 phase-one simplex, on a program prepared once per network; the dispatch
 entry point also runs phase two to get the least-cost generator schedule.
+
+`lp_feasible` is the cold reference: one phase-one solve per call, nothing
+kept.  The classifier from `make_dcopf_classifier` keeps the feasible bases
+its solves end on.  The right side is affine in (p1, p2), so each such basis
+certifies a convex region of the plane (a critical region of multiparametric
+LP), and a later query inside a kept region is answered 1 without a solve.
 """
 
 from __future__ import annotations
@@ -130,12 +136,13 @@ def parse_network(text: str) -> Network:
     for lineno, toks in sections["generators"]:
         if len(toks) != 3:
             raise InputError(f"line {lineno}: generator rows are 'bus cost capacity'")
+        cost = fnum(lineno, toks[1], "cost")
+        if math.isinf(cost):
+            raise InputError(f"line {lineno}: cost must be finite")
         cap = fnum(lineno, toks[2], "capacity")
-        if cap <= 0:
-            raise InputError(f"line {lineno}: capacity must be positive")
-        generators.append(
-            Generator(known_bus(lineno, toks[0]), fnum(lineno, toks[1], "cost"), cap)
-        )
+        if cap <= 0 or math.isinf(cap):
+            raise InputError(f"line {lineno}: capacity must be positive and finite")
+        generators.append(Generator(known_bus(lineno, toks[0]), cost, cap))
     if not generators:
         raise InputError("network needs at least one dispatchable generator")
 
@@ -350,12 +357,68 @@ def dispatch(net: Network, injections: tuple[float, float]) -> DispatchResult:
     )
 
 
+class _FeasibleBases:
+    """The feasible bases a classifier's solves ended on, as affine maps.
+
+    A phase-one solve that ends feasible with only structural columns basic
+    fixes each nonbasic column at a bound, so the basic values at any (p1, p2)
+    are x_B = B^-1 (b(p) - N x_N) = g + p1 u1 + p2 u2.  Where all of them lie
+    within their bounds, that x meets every row and bound, and the point is
+    feasible.  The check takes the bounds as they are, with no margin, which
+    is stricter than the solver's phase-one tolerance: a point it certifies is
+    one the solver also calls feasible.  Any other point gets a cold solve, so
+    every 0 comes from the simplex.
+
+    One entry per distinct basis (its columns and the bounds its nonbasic
+    columns sit at); the rows (g, u1, u2) of all entries are stacked, so one
+    product checks them all.
+    """
+
+    def __init__(self, lp: FeasibilityLP):
+        self.lp = lp
+        self._m, self._n = lp.program.shape
+        self._keys: set[tuple] = set()
+        self._maps = np.empty((0, 3))
+        self._lo = np.empty(0)
+        self._hi = np.empty(0)
+
+    def label(self, p: XY) -> int:
+        if self._keys:
+            v = self._maps @ (1.0, p[0], p[1])
+            inside = (v >= self._lo) & (v <= self._hi)
+            if inside.reshape(-1, self._m).all(axis=1).any():
+                return 1
+        feasible, basis, x = self.lp.program.phase_one(self.lp.rhs(p))
+        if feasible and max(basis) < self._n:
+            self._keep(basis, x[: self._n])
+        return 1 if feasible else 0
+
+    def _keep(self, basis: list[int], x: np.ndarray) -> None:
+        program = self.lp.program
+        cols = sorted(basis)
+        nonbasic = np.ones(self._n, dtype=bool)
+        nonbasic[cols] = False
+        key = (tuple(cols), x[nonbasic].tobytes())
+        if key in self._keys:
+            return
+        self._keys.add(key)
+        B_inv = np.linalg.inv(program.A[:, cols])
+        g = B_inv @ (self.lp.b_base - program.A[:, nonbasic] @ x[nonbasic])
+        r1, r2 = self.lp.slot_rows
+        new = np.column_stack([g, B_inv[:, r1], B_inv[:, r2]])
+        self._maps = np.vstack([self._maps, new])
+        self._lo = np.concatenate([self._lo, program.lo[cols]])
+        self._hi = np.concatenate([self._hi, program.hi[cols]])
+
+
 def make_dcopf_classifier(net: Network) -> Classifier:
-    """Black box labeling injection pairs by grid feasibility."""
+    """Black box labeling injection pairs by grid feasibility.
+
+    Unlike `lp_feasible`, the classifier keeps state between queries: the
+    feasible bases its phase-one solves end on.  A query inside the region
+    one of them certifies is labeled 1 without a solve; every other query
+    gets a cold solve.  Labels equal `lp_feasible`'s in any query order.
+    """
     lp = build_feasibility_lp(net)
-    domain = net.slot_domain()
-
-    def label(p: XY) -> int:
-        return 1 if lp_feasible(lp, p) else 0
-
-    return Classifier(label_fn=label, domain=domain, name="dcopf")
+    bases = _FeasibleBases(lp)
+    return Classifier(label_fn=bases.label, domain=net.slot_domain(), name="dcopf")

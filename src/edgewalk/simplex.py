@@ -11,8 +11,9 @@ artificial columns, the phase-one cost row, the initial pricing signs) is
 kept.  Each solve validates and assembles only what depends on its right
 side b and its costs c, so a family of programs that differ only in b, such
 as a feasibility oracle asking one per query, pays for that set-up once.
-`BoundedLP.feasible` stops at the phase-one verdict.  `solve_bounded_lp`
-prepares a program and solves it once.
+`BoundedLP.feasible` stops at the phase-one verdict, and
+`BoundedLP.phase_one` also returns the basis and the values it ends on.
+`solve_bounded_lp` prepares a program and solves it once.
 
 Sized for the network programs in this package (tens of variables): the
 solver keeps the dense tableau B^-1 [A | I] of the phase-one program with
@@ -221,11 +222,20 @@ class BoundedLP:
         x = _basic_values(A1, b1, x1, basis)
         return A1, b1, T, x, basis, sense, used, float(x[n:].sum())
 
+    def phase_one(self, b) -> tuple[bool, list[int], np.ndarray]:
+        """Phase-one verdict with the basis it ends on: (feasible, basis, x).
+
+        basis is the basic column of each row, where columns n and up are
+        the artificials; x holds the values of all n + m columns, each
+        nonbasic one at a bound and the basic ones solved from them.
+        """
+        _, _, _, x, basis, _, _, art_sum = self._phase_one(b)
+        # the negation of solve's infeasible test, NaN included
+        return not art_sum > _TOL, basis, x
+
     def feasible(self, b) -> bool:
         """Phase-one verdict: whether some x meets A @ x == b within the bounds."""
-        art_sum = self._phase_one(b)[-1]
-        # the negation of solve's infeasible test, NaN included
-        return not art_sum > _TOL
+        return self.phase_one(b)[0]
 
     def solve(self, c, b) -> SimplexResult:
         """Minimize c @ x subject to A @ x == b and lo <= x <= hi."""

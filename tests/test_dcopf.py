@@ -185,6 +185,17 @@ class TestNetworkParsing:
         with pytest.raises(InputError, match="capacity must be positive"):
             parse_network(net_text(gens="1  5.0  0.0"))
 
+    def test_infinite_capacity_rejected(self):
+        # an unbounded generator column would fail inside the simplex
+        # ("every variable needs a finite lower bound") with no line named
+        with pytest.raises(InputError, match="line 6: capacity must be positive and finite"):
+            parse_network(net_text(gens="1  5.0  inf"))
+
+    @pytest.mark.parametrize("cost", ["inf", "-inf"])
+    def test_infinite_cost_rejected(self, cost):
+        with pytest.raises(InputError, match="line 6: cost must be finite"):
+            parse_network(net_text(gens=f"1  {cost}  4.0"))
+
     def test_bad_numeric_token_rejected(self):
         with pytest.raises(InputError, match="bad cost"):
             parse_network(net_text(gens="1  cheap  4.0"))

@@ -8,6 +8,8 @@ status, the same iteration count (bound flips included) and the same
 objective to 1e-9.
 """
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -217,22 +219,30 @@ def test_tie_line_keeps_labels_and_pivot_counts():
     assert tied > 0
 
 
-def test_points_bisected_onto_the_boundary_match_seed_solver():
+@functools.cache
+def _bisected_pairs():
+    """100 pairs (a, b) with different cold labels, bisected to 1e-9 apart."""
     rng = np.random.default_rng(2718)
-    pairs = 0
-    while pairs < 100:
+    pairs = []
+    while len(pairs) < 100:
         a = (rng.uniform(DOMAIN.x_min, DOMAIN.x_max), rng.uniform(DOMAIN.y_min, DOMAIN.y_max))
         b = (rng.uniform(DOMAIN.x_min, DOMAIN.x_max), rng.uniform(DOMAIN.y_min, DOMAIN.y_max))
         inside = lp_feasible(LP, a)
         if inside == lp_feasible(LP, b):
             continue
-        pairs += 1
         while math.dist(a, b) > 1e-9:
             mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
             if lp_feasible(LP, mid) == inside:
                 a = mid
             else:
                 b = mid
+        pairs.append((a, b))
+    return pairs
+
+
+def test_points_bisected_onto_the_boundary_match_seed_solver():
+    for a, b in _bisected_pairs():
+        inside = lp_feasible(LP, a)
         assert assert_same_label(a) == inside
         assert assert_same_label(b) != inside
 
@@ -415,3 +425,70 @@ def test_prepared_program_keeps_read_only_copies():
             stored[0] = 0.0
     with pytest.raises(InputError):
         program.solve(np.zeros(3), b)
+
+
+# The classifier keeps the feasible bases its solves end on and labels a
+# point inside one of their regions 1 without a solve; its labels must be
+# the cold solver's whatever the order of the queries.
+
+
+def test_kept_bases_give_the_cold_labels_in_any_order(monkeypatch):
+    xs = np.linspace(DOMAIN.x_min, DOMAIN.x_max, 201)
+    ys = np.linspace(DOMAIN.y_min, DOMAIN.y_max, 141)
+    grid = [(float(x), float(y)) for x in xs for y in ys]
+    boundary = [p for pair in _bisected_pairs() for p in pair]
+    # along p1 + p2 = 3.1 the final basis depends on last-bit rounding
+    tie = [(float(p1), 3.1 - float(p1)) for p1 in np.linspace(0.0, 3.1, 63)]
+    points = grid + boundary + tie
+    want = [int(lp_feasible(LP, p)) for p in points]
+    assert 0 < sum(want) < len(points)
+    order = np.random.default_rng(3).permutation(len(points))
+    shuffled = [points[i] for i in order]
+    solves = []
+    phase_one = BoundedLP.phase_one
+
+    def counted(self, b):
+        solves.append(None)
+        return phase_one(self, b)
+
+    monkeypatch.setattr(BoundedLP, "phase_one", counted)
+    for pts, labels in ((points, want), (shuffled, [want[i] for i in order])):
+        solves.clear()
+        classifier = make_dcopf_classifier(default_network())
+        for p, label in zip(pts, labels):
+            before = len(solves)
+            assert classifier.query(p) == label, p
+            # every 0 comes from a solve
+            assert label or len(solves) > before, p
+        # the kept bases answered some queries without a solve
+        assert len(solves) < len(pts) - 1000
+
+
+@st.composite
+def scaled_networks(draw):
+    """The five-bus network with its loads and finite line limits scaled."""
+    net = default_network()
+    load_scale = draw(st.floats(0.3, 1.6))
+    lines = tuple(
+        ln if math.isinf(ln.limit) else dataclasses.replace(ln, limit=ln.limit * draw(st.floats(0.3, 2.0)))
+        for ln in net.lines
+    )
+    loads = {bus: d * load_scale for bus, d in net.loads.items()}
+    return dataclasses.replace(net, lines=lines, loads=loads)
+
+
+# fractions of the slot domain; lattice ones land on region edges and ties
+_fractions = st.one_of(st.floats(0.0, 1.0), st.integers(0, 32).map(lambda k: k / 32))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scaled_networks(), st.lists(st.tuples(_fractions, _fractions), min_size=1, max_size=60))
+def test_kept_bases_give_the_cold_labels_on_scaled_networks(net, fractions):
+    d = net.slot_domain()
+    points = [
+        (d.x_min + u * (d.x_max - d.x_min), d.y_min + v * (d.y_max - d.y_min))
+        for u, v in fractions
+    ]
+    lp = build_feasibility_lp(net)
+    classifier = make_dcopf_classifier(net)
+    assert [classifier.query(p) for p in points] == [int(lp_feasible(lp, p)) for p in points]
