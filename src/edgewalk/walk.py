@@ -20,9 +20,34 @@ constant time; at corners, and wherever that step cannot decide, the
 full search and the nearest-ahead rule take the step.  Both pick the
 same point, bit for bit.  The loop's state is small: the mode, the rim
 direction and arclength, the arclength the current episode has covered,
-whether the walk has escaped its start, and the last decision test point.
-Every test point of either mode is queried and appended at one site, and
-the closure test runs there after a decision step or a rim exit.
+whether the walk has escaped its start, the last decision test point, and
+the two closure targets of a walk that starts on the rim (below).  Every
+test point of either mode is queried and appended at one site, and the
+closure tests run there after a decision step or a rim exit.
+
+Closure.  A walk closes when it returns within epsilon of its start pair
+after first moving more than 2 epsilon away.  A start pair bisected on
+the rim can sit where the returning walk reaches the rim, out of that
+reach (1.4 epsilon on a half-plane in `tests/test_walk_golden.py`), and
+the lap would then repeat until the budget ran out.  So a walk whose
+first decision step leaves the domain, and which therefore starts with a
+rim episode, has two more targets.  The anchor is the pair its first
+in-domain decision step starts from, usually the last rim point of that
+episode and its exit: the walk closes when it returns within epsilon of
+the anchor after moving more than 2 epsilon from it.  And once it has
+left the anchor, a rim entry on the arclength the first episode covered
+closes it, before that entry's query: from there the walk would repeat a
+stretch of rim it has sampled.  The second target usually closes such a
+walk first, one lap after it began; the anchor closes a lap begun at the
+exit of the first episode.  Why a lap meets them: every lap leaves that
+stretch of rim at its first exterior point, less than epsilon past the
+crossing, so its exit lies within epsilon of the anchor's; and a lap
+coming back along the boundary to the start enters the rim near the
+first episode's start, within its arclength.  Neither is proved for
+every shape; `tests/test_walk.py` checks on generated clipped
+half-planes and ellipses wider than 2 epsilon that the walk closes
+within 1.2 laps.  For every other walk the anchor would be the start
+pair itself, and neither target is kept.
 
 `run_edge` builds one `_Budget` per run and threads it through the seed
 scan, the bisection and the walk: it is their only handle on the oracle
@@ -320,14 +345,18 @@ def decision_boundary_walk(
     FullPerimeterError.
 
     Every test point is queried and appended at one site, which files it
-    by its label.  The closure test runs there after a decision step or
+    by its label.  The closure tests run there after a decision step or
     a rim exit, never after an interior rim point: the loop closes once
     the walk has first escaped the start bracket (beyond two epsilon) and
-    the latest point then returns to within epsilon of a start point;
-    walks on features too small to escape run until the budget ends.  A
-    budget death or a geometric failure ends the walk with the points
-    found so far.  Returns the termination and, for failed, the failure
-    message.
+    the latest point then returns to within epsilon of a start point.  A
+    walk whose first decision step leaves the domain also closes on its
+    anchor, the pair its first in-domain decision step starts from, in
+    the same way, and, once it has escaped the anchor, at a rim entry on
+    the arclength its first rim episode covered (see the module
+    docstring).  Walks on features too small to escape run until the
+    budget ends.  A budget death or a geometric failure ends the walk
+    with the points found so far.  Returns the termination and, for
+    failed, the failure message.
     """
     domain = budget.domain
     tol = domain.geom_tol
@@ -343,6 +372,15 @@ def decision_boundary_walk(
     steps = 0
     last_test: XY | None = None
     escaped = False
+    # a walk whose first decision step leaves the domain starts with a rim
+    # episode and gets two more closure targets: the anchor pair
+    # (xai, yai), (xao, yao), where its first in-domain decision step
+    # starts, and the arclength its first rim episode covered, first_span
+    # counter-clockwise from s_first (negative until that episode ends).
+    # Any other walk's anchor would be (inner[0], outer[0]), the start pair.
+    seek_anchor = anchored = anchor_escaped = False
+    xai = yai = xao = yao = s_first = 0.0
+    first_span = -1.0
     # rim mode: the walk stands on the rim at in_end, arclength s_cur, and
     # has moved span along it, in direction, since the episode began
     on_rim = False
@@ -394,8 +432,18 @@ def decision_boundary_walk(
                     x_test, s_cur, direction = _rim_entry(
                         domain, in_end, out_end, epsilon
                     )
+                    if steps == 0:
+                        seek_anchor = True
+                        s_first = s_cur
+                    elif anchor_escaped and (s_cur - s_first) % period <= first_span:
+                        # back on the rim the first episode walked
+                        return Termination.CLOSED_LOOP, None
                     span = 0.0
                     on_rim = True
+                elif seek_anchor:
+                    seek_anchor = False
+                    anchored = True
+                    (xai, yai), (xao, yao) = in_end, out_end
             # the one append site: a walk point becomes a Point2 here,
             # right before its query, and joins the set of its label
             x_test = _new_point(Point2, x_test)
@@ -413,6 +461,8 @@ def decision_boundary_walk(
                 if on_rim:
                     # the rim exit: decision steps resume from here
                     on_rim = False
+                    if seek_anchor and first_span < 0.0:
+                        first_span = span
                     last_test = None
                     x, y = x_test
             # distance of the latest point, (x, y), to the nearer start point
@@ -430,6 +480,16 @@ def decision_boundary_walk(
                     return Termination.CLOSED_LOOP, None
             elif back_dist > 2.0 * epsilon:
                 escaped = True
+            if anchored:
+                back_dist = hypot(x - xai, y - yai)
+                to_outer = hypot(x - xao, y - yao)
+                if to_outer < back_dist:
+                    back_dist = to_outer
+                if anchor_escaped:
+                    if back_dist <= epsilon:
+                        return Termination.CLOSED_LOOP, None
+                elif back_dist > 2.0 * epsilon:
+                    anchor_escaped = True
     except BudgetExhaustedError:
         return Termination.BUDGET_EXHAUSTED, None
     except GeometricFailureError as exc:

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+import clipped
 from edgewalk.classifier import make_classifier, make_test_classifier
 from edgewalk.cli import _points_csv
 from edgewalk.dcopf import default_network, make_dcopf_classifier
@@ -45,7 +46,8 @@ def _lower_half_strip():
 
 
 def _rim_heavy_half_plane():
-    # starts on the rim and misses its loop closure, so it runs the budget out
+    # starts on the rim with a rim episode and returns 1.4 epsilon from its
+    # start pair; it closes on re-entering the arclength of that episode
     c = make_classifier(
         lambda x, y: -0.44 * x + 1.17 * y, -1.109, Domain(-1.0, 1.0, -1.0, 1.0)
     )
@@ -60,6 +62,16 @@ def _five_bus_study():
         seed_exterior=Point2(10.0, 7.0),
     )
     return make_dcopf_classifier(default_network()), cfg
+
+
+GOLDEN_WALKS = [
+    _rosenbrock,
+    _goldstein_price,
+    _beale,
+    _lower_half_strip,
+    _rim_heavy_half_plane,
+    _five_bus_study,
+]
 
 
 @pytest.mark.parametrize(
@@ -91,9 +103,9 @@ def _five_bus_study():
         ),
         (
             _rim_heavy_half_plane,
-            Termination.BUDGET_EXHAUSTED,
-            2667,
-            "0b77d801335add379fe57a00d014b23bf39fbbf77c97f904f98ba0da9f2d136a",
+            Termination.CLOSED_LOOP,
+            144,
+            "155c724aabc7c421351dc1422ae21ef29a7711cc88a6eff31cd608472d861d7f",
         ),
         (
             _five_bus_study,
@@ -185,8 +197,22 @@ def test_random_shape_batch_is_unchanged():
         text = _outcome(classifier, config)
         kinds.append(text.split(",", 1)[0])
         digest.update(text.encode())
-    assert kinds.count("budget_exhausted") >= 1
+    assert kinds.count("budget_exhausted") == 0
     assert kinds.count("InputError") == 4
     assert digest.hexdigest() == (
-        "42fa225804b6578703cd3b9481347b2e6669e2f348273c144260dd4a128befcd"
+        "b4ba76b7568aeedc6ef2eca66b9a911e51a872390d9d6e4ec10939e42d601543"
     )
+
+
+def test_every_rim_entry_runs_counter_clockwise():
+    # the walk keeps the inside on its left, so a rim episode, which walks
+    # the inside's part of the rim, runs counter-clockwise: over the golden
+    # walks and the random batch, every rim entry picks direction +1
+    with clipped.rim_entry_directions() as directions:
+        for build in GOLDEN_WALKS:
+            run_edge(*build())
+        for fn, threshold, seeds in _random_shapes(3):
+            if seeds is None:
+                run_edge(make_classifier(fn, threshold, SQUARE), EdgeConfig(0.03))
+    assert len(directions) > 100
+    assert set(directions) == {1.0}
