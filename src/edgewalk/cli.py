@@ -11,7 +11,9 @@ other package error), 2 when no boundary exists in the domain, 3 when the
 query budget dies first, 4 for bad input, 5 for geometric failures.  Each
 error ends in one `error: ...` line on stderr.
 When the budget dies or the geometry fails mid-walk, `run` still writes
-the partial estimate.
+the partial estimate.  `compare` records each walk's termination in its
+`edge_termination` column; when a walk's budget dies first it still
+writes both files, then exits 3.
 
 `run` keeps the --log-queries log itself, by wrapping the classifier's
 label function: two flat lists, the queried points and their labels.
@@ -328,6 +330,7 @@ def _cmd_compare(args) -> int:
             "grid_wall_seconds": grid_wall,
             "edge_asd": "",
             "grid_asd": "",
+            "edge_termination": estimate.termination.value,
         }
         if spec is not None:
             reference = reference_from_scalar(
@@ -354,6 +357,18 @@ def _cmd_compare(args) -> int:
     _atomic_write(out / "table.csv", [buf.getvalue()])
     _atomic_write(out / "report.json", [json.dumps(rows, indent=2) + "\n"])
     print(f"-> {out / 'table.csv'}")
+    exhausted = [
+        f"{row['epsilon']:g}"
+        for row in rows
+        if row["edge_termination"] == Termination.BUDGET_EXHAUSTED.value
+    ]
+    if exhausted:
+        print(
+            "error: the query budget ran out before the walk closed at "
+            f"epsilon {', '.join(exhausted)}",
+            file=sys.stderr,
+        )
+        return 3
     return 0
 
 

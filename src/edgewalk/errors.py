@@ -33,10 +33,6 @@ class NoForwardCandidateError(GeometricFailureError):
     """No candidate point lies strictly on the forward side of the walk."""
 
 
-class StalledWalkError(GeometricFailureError):
-    """The walk selected the same test point twice in a row."""
-
-
 class FullPerimeterError(GeometricFailureError):
     """A rim episode went all the way round without finding a label change."""
 

@@ -12,8 +12,9 @@ geometric tolerance, corners and edges) once, on first use, and keeps them;
 the walk reads them on every perimeter step.
 
 A walk step is one pass of float arithmetic: `circle_circle_intersection`
-and `select_forward` for the step between two epsilon-circles,
-`step_along_side` for a step along one side of the rim.
+for the step between two epsilon-circles, whose first point is the
+forward one, and `step_along_side` for a counter-clockwise step along one
+side of the rim.
 `perimeter_circle_intersection` searches all four sides; the perimeter
 walk needs it only to enter the rim and at corners.  Both rim functions
 solve each side's segment-circle quadratic with `side_circle_roots`, and
@@ -193,6 +194,9 @@ def select_forward(
     Forward means a positive cross product of (outer_end - inner_end) with
     (candidate - inner_end).  The cross product is normalized to a signed
     perpendicular offset so the threshold is a length, comparable to tol.
+    Of the two points `circle_circle_intersection` returns for centres
+    less than 2r - tol apart it picks the first, when r exceeds 2 tol; so
+    the walk calls it only when fewer than two come back, where it raises.
     """
     ix, iy = inner_end
     ux = outer_end[0] - ix
@@ -300,22 +304,21 @@ def perimeter_circle_intersection(
 
 
 def step_along_side(
-    domain: Domain, center: XY, s: float, r: float, direction: float
+    domain: Domain, center: XY, s: float, r: float
 ) -> tuple[XY, float, float] | None:
     """The perimeter walk's next rim point, found on the centre's side alone.
 
     center is a rim point on one side, at arclength s; the walk moves
-    counter-clockwise for direction +1.0 and clockwise for -1.0.  When
-    exactly one side lies within reach of the circle of radius r (r plus
-    2 tol, the test `perimeter_circle_intersection` skips a side by), that
-    side holds every hit the full search finds.  Sides run
-    counter-clockwise, so the hit ahead is the side's root t1 going
-    counter-clockwise and t0 going clockwise, and the other root lies
-    behind.  Returns (point, arclength, step), with step the wrapped
-    arclength advance times direction: the very hit, bit for bit, that the
-    full search and the nearest-ahead rule pick.  Returns None where only
-    the full search decides: two sides within reach (a corner), no side,
-    a missed, merged or off-side root, or a step not beyond tol.
+    counter-clockwise.  When exactly one side lies within reach of the
+    circle of radius r (r plus 2 tol, the test
+    `perimeter_circle_intersection` skips a side by), that side holds
+    every hit the full search finds.  Sides run counter-clockwise, so the
+    hit ahead is the side's root t1, and the other root lies behind.
+    Returns (point, arclength, step), with step the wrapped arclength
+    advance: the very hit, bit for bit, that the full search and the
+    nearest-ahead rule pick.  Returns None where only the full search
+    decides: two sides within reach (a corner), no side, a missed, merged
+    or off-side root, or a step not beyond tol.
     """
     tol = domain.geom_tol
     reach = r + 2.0 * tol
@@ -333,27 +336,18 @@ def step_along_side(
     if roots is None:
         return None
     (ax, ay), edge_len, s_edge, _, dx, dy, _, t_tol = side
-    t0, t1 = roots
-    if t1 - t0 <= t_tol:
+    t0, t = roots
+    if t - t0 <= t_tol:
         return None
-    t = t1 if direction > 0.0 else t0
     if not -t_tol <= t <= 1.0 + t_tol:
         return None
     t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
     period = domain.perimeter
     s_next = (s_edge + t * edge_len) % period
-    d = (s_next - s) % period  # wrapped_delta(s, s_next, period)
+    # the step from s to s_next, wrapped into (-P/2, P/2]
+    d = (s_next - s) % period
     if d > 0.5 * period:
         d -= period
-    d *= direction
     if d <= tol:
         return None
     return (ax + t * dx, ay + t * dy), s_next, d
-
-
-def wrapped_delta(s_from: float, s_to: float, period: float) -> float:
-    """Signed arclength step from s_from to s_to, wrapped into (-P/2, P/2]."""
-    d = (s_to - s_from) % period
-    if d > 0.5 * period:
-        d -= period
-    return d

@@ -10,20 +10,21 @@ decision boundary between them.
 
 The walk is one loop with two modes.  A decision step intersects the
 two circles, as above.  When its test point falls outside the domain, a
-rim episode begins: the walk steps along the domain perimeter until it
-finds an exterior point, then goes back to decision steps.  An episode
-enters the rim with a search of all four sides
+rim episode begins: the walk steps counter-clockwise along the domain
+perimeter, keeping the interior set on its left as the decision steps
+do, until it finds an exterior point, then goes back to decision steps.
+An episode enters the rim with a search of all four sides
 (`perimeter_circle_intersection`).  Each later rim step starts from a rim
 point on one side, and while no other side's line lies within reach of
 its circle it steps along that side alone (`step_along_side`), in
 constant time; at corners, and wherever that step cannot decide, the
 full search and the nearest-ahead rule take the step.  Both pick the
 same point, bit for bit.  The loop's state is small: the mode, the rim
-direction and arclength, the arclength the current episode has covered,
-whether the walk has escaped its start, the last decision test point, and
-the two closure targets of a walk that starts on the rim (below).  Every
-test point of either mode is queried and appended at one site, and the
-closure tests run there after a decision step or a rim exit.
+arclength, the arclength the current episode has covered, whether the
+walk has escaped its start, and the two closure targets of a walk that
+starts on the rim (below).  Every test point of either mode is queried
+and appended at one site, and the closure tests run there after a
+decision step or a rim exit.
 
 Closure.  A walk closes when it returns within epsilon of its start pair
 after first moving more than 2 epsilon away.  A start pair bisected on
@@ -54,15 +55,19 @@ scan, the bisection and the walk: it is their only handle on the oracle
 and the domain, so every query of a run passes through `_Budget.query`,
 and `run_edge` builds the estimate once, with its per-phase counts.
 
-Each step is one pass of float arithmetic: `circle_circle_intersection`
-and `select_forward` compute the next test point between the two circles
-in straight-line code, and the containment, stall and closure tests are
-inline comparisons.  Each step leaves the pair epsilon apart, and the
-bisection leaves it between epsilon/2 and epsilon apart unless the seeds
-start closer.  `EdgeConfig.validate_for` refuses explicit seeds within the
-geometric tolerance of each other, an epsilon of at most twice that
-tolerance, and one too small for a rim step to resolve against the side
-it stands on, so the pair never degenerates.  A budget death or a
+Each step is one pass of float arithmetic, and the containment and
+closure tests are inline comparisons.  Each step leaves the pair epsilon
+apart, and the bisection leaves it between epsilon/2 and epsilon apart
+unless the seeds start closer.  So a decision step takes the first point
+`circle_circle_intersection` returns, the one left of inner-to-outer: it
+lies about 0.87 epsilon left of the pair and the other one as far right,
+and `select_forward` runs only when fewer than two points come back.  And
+the walk cannot repeat a test point: the next one lies epsilon from both
+ends of the pair, one of them the last test point, and epsilon exceeds
+twice the geometric tolerance.  `EdgeConfig.validate_for` refuses
+explicit seeds within that tolerance of each other, an epsilon of at
+most twice it, and one too small for a rim step to resolve against the
+side it stands on, so the pair never degenerates.  A budget death or a
 geometric failure anywhere in the walk, rim episodes included, ends it
 with termination `budget_exhausted` or `failed` and keeps the partial
 estimate.
@@ -92,7 +97,6 @@ from .errors import (
     GeometricFailureError,
     InputError,
     NoBoundaryFoundError,
-    StalledWalkError,
 )
 from .geometry import (
     XY,
@@ -104,7 +108,6 @@ from .geometry import (
     perimeter_circle_intersection,
     select_forward,
     step_along_side,
-    wrapped_delta,
 )
 
 
@@ -295,29 +298,18 @@ def _bisect(
 
 def _rim_entry(
     domain: Domain, in_end: Point2, out_end: Point2, epsilon: float
-) -> tuple[XY, float, float]:
-    """Where a rim episode starts, and which way round it steps.
+) -> tuple[XY, float]:
+    """Where a rim episode starts: (point, arclength).
 
     Of the perimeter points at distance epsilon from in_end, the episode
-    starts at the one farther from out_end, at arclength s, and steps away
-    from the nearest other one.  Returns (point, s, direction), direction
-    +1.0 counter-clockwise and -1.0 clockwise.
+    starts at the one farther from out_end.
     """
     cands = perimeter_circle_intersection(domain, in_end, epsilon)
     if not cands:
         raise GeometricFailureError(
             f"no perimeter point at distance {epsilon} from {in_end}"
         )
-    point, s_cur = max(cands, key=lambda ps: distance(ps[0], out_end))
-    tol = domain.geom_tol
-    others = [
-        wrapped_delta(s, s_cur, domain.perimeter)
-        for _, s in cands
-        if abs(s - s_cur) > tol
-    ]
-    if others and min(others, key=abs) < 0.0:
-        return point, s_cur, -1.0
-    return point, s_cur, 1.0
+    return max(cands, key=lambda ps: distance(ps[0], out_end))
 
 
 def decision_boundary_walk(
@@ -333,11 +325,11 @@ def decision_boundary_walk(
     them and to labels_order.  It runs in one of two modes.  A decision
     step intersects the epsilon-circles around the latest inner and outer
     points and takes the intersection lying ahead of the pair (on the left
-    of the inner-to-outer direction).  When that point falls outside the
-    domain, a rim episode begins where `_rim_entry` puts it, and the walk
-    steps monotonically along the perimeter, each step the nearest
-    perimeter point more than tol ahead at distance epsilon, until it
-    finds an exterior point and resumes decision steps.  Away from corners
+    of the inner-to-outer direction), the first of the two.  When that
+    point falls outside the domain, a rim episode begins where `_rim_entry`
+    puts it, and the walk steps counter-clockwise along the perimeter,
+    each step the nearest perimeter point more than tol ahead at distance
+    epsilon, until it finds an exterior point and resumes decision steps.  Away from corners
     `step_along_side` finds that step on the current side alone; where two
     sides lie within reach, or the on-side step cannot decide,
     `perimeter_circle_intersection` searches all four sides for it.  An
@@ -370,7 +362,6 @@ def decision_boundary_walk(
     in_end, out_end = inner[-1], outer[-1]
     (xi0, yi0), (xo0, yo0) = inner[0], outer[0]
     steps = 0
-    last_test: XY | None = None
     escaped = False
     # a walk whose first decision step leaves the domain starts with a rim
     # episode and gets two more closure targets: the anchor pair
@@ -382,13 +373,13 @@ def decision_boundary_walk(
     xai = yai = xao = yao = s_first = 0.0
     first_span = -1.0
     # rim mode: the walk stands on the rim at in_end, arclength s_cur, and
-    # has moved span along it, in direction, since the episode began
+    # has moved span along it since the episode began
     on_rim = False
-    s_cur = span = direction = 0.0
+    s_cur = span = 0.0
     try:
         while True:
             if on_rim:
-                step = step_along_side(domain, in_end, s_cur, epsilon, direction)
+                step = step_along_side(domain, in_end, s_cur, epsilon)
                 if step is not None:
                     x_test, s_new, d_new = step
                 else:
@@ -397,10 +388,10 @@ def decision_boundary_walk(
                     # (delta, s, point) would pick it
                     d_new = math.inf
                     for p, s in perimeter_circle_intersection(domain, in_end, epsilon):
-                        d = (s - s_cur) % period  # wrapped_delta(s_cur, s, period)
+                        # the step from s_cur to s, wrapped into (-P/2, P/2]
+                        d = (s - s_cur) % period
                         if d > half_period:
                             d -= period
-                        d *= direction
                         if tol < d < d_new or (d == d_new and (s, p) < (s_new, x_test)):
                             d_new, s_new, x_test = d, s, p
                     if d_new == math.inf:
@@ -417,21 +408,15 @@ def decision_boundary_walk(
                 s_cur = s_new
             else:
                 cands = circle_circle_intersection(in_end, out_end, epsilon, tol)
-                x_test = select_forward(in_end, out_end, cands, tol)
+                if len(cands) == 2:
+                    # the forward point comes first (see the module docstring)
+                    x_test = cands[0]
+                else:
+                    x_test = select_forward(in_end, out_end, cands, tol)
                 x, y = x_test
-                if (
-                    last_test is not None
-                    and hypot(x - last_test[0], y - last_test[1]) <= tol
-                ):
-                    raise StalledWalkError(
-                        f"walk repeated test point {x_test} after {steps} steps"
-                    )
-                last_test = x_test
                 if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
                     # the boundary ran off the domain: enter the rim
-                    x_test, s_cur, direction = _rim_entry(
-                        domain, in_end, out_end, epsilon
-                    )
+                    x_test, s_cur = _rim_entry(domain, in_end, out_end, epsilon)
                     if steps == 0:
                         seek_anchor = True
                         s_first = s_cur
@@ -463,7 +448,6 @@ def decision_boundary_walk(
                     on_rim = False
                     if seek_anchor and first_span < 0.0:
                         first_span = span
-                    last_test = None
                     x, y = x_test
             # distance of the latest point, (x, y), to the nearer start point
             back_dist = hypot(x - xi0, y - yi0)

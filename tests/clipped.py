@@ -12,19 +12,15 @@ the shape.  The tests that walk these shapes share the measures here:
 - `laps(points, shape)`: how many times the walk went round;
 - `rim_vertex_gaps(points, outline)`: how far each rim vertex lies from the
   nearest walk point, with its interior angle;
-- `rim_entry_directions()`: the direction of every rim episode a walk
-  starts.
+- `decision_step_lengths(points, domain)`: how far apart each two
+  consecutive decision points of a walk lie, on any domain.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
-import pytest
-
-from edgewalk import walk
 from edgewalk.geometry import Domain
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
@@ -244,21 +240,22 @@ def rim_vertex_gaps(points, outline):
     return gaps
 
 
-@contextlib.contextmanager
-def rim_entry_directions():
-    """Record the direction of every rim episode started inside the block.
+def decision_step_lengths(points, domain):
+    """The distance between each two consecutive decision points of a walk.
 
-    Wraps `walk._rim_entry`, which the walk looks up at each rim entry, and
-    yields the list its directions are appended to (+1.0 counter-clockwise).
+    points are the estimate's points in append order.  The first two are
+    the bracket pair; a rim point lies exactly on a side of the domain;
+    every other point is a decision step's test point.  Each decision
+    step's test point lies epsilon from both ends of the pair it starts
+    from, and the previous point is one of those ends.
     """
-    seen = []
-    real = walk._rim_entry
 
-    def spy(*args):
-        entry = real(*args)
-        seen.append(entry[2])
-        return entry
+    def on_rim(p):
+        return p[0] in (domain.x_min, domain.x_max) or p[1] in (domain.y_min, domain.y_max)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(walk, "_rim_entry", spy)
-        yield seen
+    walked = points[2:]
+    return [
+        math.dist(p, q)
+        for p, q in zip(walked, walked[1:])
+        if not on_rim(p) and not on_rim(q)
+    ]

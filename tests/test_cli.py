@@ -366,8 +366,24 @@ class TestCompare:
             assert float(r["edge_wall_seconds"]) > 0.0
             assert float(r["grid_wall_seconds"]) > 0.0
             assert 0.0 < float(r["edge_asd"]) < 1.0
+            assert r["edge_termination"] == "closed_loop"
         report = json.loads((out / "report.json").read_text())
         assert len(report) == 2
+
+    def test_walk_out_of_budget_writes_the_table_and_exits_3(self, tmp_path, capsys):
+        # a 200-query walk at 0.05 stops far short of closing round
+        # rosenbrock; its row says so, and the exit code does too
+        out = tmp_path / "o"
+        argv = ["compare", "rosenbrock", "--epsilons", "0.05", "--max-queries", "200"]
+        assert main([*argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        (row,) = read_csv(out / "table.csv")
+        assert row["edge_termination"] == "budget_exhausted"
+        assert int(row["edge_queries"]) == 200
+        (entry,) = json.loads((out / "report.json").read_text())
+        assert entry["edge_termination"] == "budget_exhausted"
+        assert entry["grid_queries"] == int(row["grid_queries"]) > 0
 
     def test_network_classifier_rows_skip_distance_score(self, tmp_path):
         out = tmp_path / "o"

@@ -16,7 +16,6 @@ from edgewalk.geometry import (
     midpoint,
     perimeter_circle_intersection,
     select_forward,
-    wrapped_delta,
 )
 
 
@@ -167,11 +166,3 @@ class TestPerimeterCircleIntersection:
         d = Domain(0.0, 4.0, 0.0, 4.0)
         assert perimeter_circle_intersection(d, Point2(2.0, 2.0), 0.5) == []
 
-
-def test_wrapped_delta_signs_and_seam():
-    assert wrapped_delta(1.0, 3.0, 8.0) == 2.0
-    assert wrapped_delta(3.0, 1.0, 8.0) == -2.0
-    assert wrapped_delta(7.9, 0.1, 8.0) == pytest.approx(0.2)
-    assert wrapped_delta(0.1, 7.9, 8.0) == pytest.approx(-0.2)
-    # exactly half a period maps to the positive side
-    assert wrapped_delta(0.0, 4.0, 8.0) == 4.0

@@ -2,12 +2,12 @@
 
 `perimeter_circle_intersection` reads the sides from the domain's cached
 `edges`, skips every side whose line lies out of the circle's reach and
-solves the quadratic inline; `circle_circle_intersection` and
-`select_forward`, the walk's forward step, compute the midpoint, the
-distance and the offsets inline.  The versions below solve all four sides,
-build the midpoint as a point and call `distance` and the `cross` below;
-they are the oracle, and the fast ones must return exactly equal results
-and raise the same errors.  `step_along_side`, the perimeter walk's step
+solves the quadratic inline; `circle_circle_intersection`, the walk's
+forward step, and `select_forward`, which names the forward point,
+compute the midpoint, the distance and the offsets inline.  The
+versions below solve all four sides, build the midpoint as a point and
+call `distance` and the `cross` below; they are the oracle, and the fast
+ones must return exactly equal results and raise the same errors.  `step_along_side`, the perimeter walk's step
 from a centre on one side, must return the very hit that the full search
 plus the nearest-ahead rule picks, bit for bit, whenever it does not
 leave the step to them.
@@ -17,7 +17,7 @@ import math
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from edgewalk.errors import CoincidentCentersError, NoForwardCandidateError
@@ -30,7 +30,6 @@ from edgewalk.geometry import (
     perimeter_circle_intersection,
     select_forward,
     step_along_side,
-    wrapped_delta,
 )
 
 
@@ -383,16 +382,64 @@ def test_forward_step_equals_oracle_at_exact_thresholds(tol):
     )
 
 
-def nearest_ahead(dom, center, s_cur, r, direction):
+@st.composite
+def decision_step_pairs(draw):
+    """(c1, c2, r, tol, walk) of a decision step, with r above 2 tol.
+
+    `EdgeConfig.validate_for` keeps epsilon above twice the geometric
+    tolerance.  With walk set the centres lie up to r apart, as the
+    walk's pair does, at coordinates up to 1e3; otherwise they lie
+    anywhere from tol to 2r - tol apart, a few ulps either side of those
+    ends included, at coordinates up to 10.
+    """
+    r = 10.0 ** draw(st.floats(-6.0, 3.0))
+    tol = draw(st.sampled_from([1e-12, 1e-9, 2e-6, 0.49 * r]))
+    assume(r > 2.0 * tol)
+    walk = draw(st.booleans())
+    if walk:
+        span, d = 1e3, r * draw(st.floats(0.0, 1.0))
+    else:
+        span = 10.0
+        d = draw(
+            st.sampled_from([tol, 2.0 * r - tol])
+            | st.floats(0.0, 2.0).map(lambda k: k * r)
+        )
+    x = draw(st.floats(-span, span))
+    y = draw(st.floats(-span, span))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    c2 = (_nudge(x + d * math.cos(angle), draw(st.integers(-4, 4))), y + d * math.sin(angle))
+    return (x, y), c2, r, tol, walk
+
+
+@settings(max_examples=1000, deadline=None)
+@given(decision_step_pairs())
+def test_forward_point_is_the_first_of_two(pair):
+    # the walk takes cands[0] without select_forward when two come back
+    c1, c2, r, tol, walk = pair
+    try:
+        cands = circle_circle_intersection(c1, c2, r, tol)
+    except CoincidentCentersError:
+        reject()
+    if walk:
+        assert len(cands) == 2
+    if len(cands) == 2:
+        assert select_forward(c1, c2, cands, tol) is cands[0]
+
+
+def nearest_ahead(dom, center, s_cur, r):
     """The perimeter walk's step by the full search: (point, s, step) or None.
 
-    Every hit of the circle on the rim, and of those more than tol ahead
-    the one with the least (step, s, point), as the walk picked it before
-    it stepped along one side.
+    Every hit of the circle on the rim, and of those more than tol ahead,
+    counter-clockwise, the one with the least (step, s, point), as the
+    walk picked it before it stepped along one side.
     """
     best = None
+    period = dom.perimeter
     for p, s in perimeter_circle_intersection(dom, center, r):
-        d = wrapped_delta(s_cur, s, dom.perimeter) * direction
+        # the step from s_cur to s, wrapped into (-P/2, P/2]
+        d = (s - s_cur) % period
+        if d > 0.5 * period:
+            d -= period
         if d > dom.geom_tol and (best is None or (d, s, p) < best):
             best = (d, s, p)
     return None if best is None else (best[2], best[1], best[0])
@@ -414,7 +461,7 @@ def _sides_in_reach(dom, center, r):
 
 @st.composite
 def rim_walk_steps(draw):
-    """(domain, centre, s, epsilon, direction) of one perimeter walk step.
+    """(domain, centre, s, epsilon) of one perimeter walk step.
 
     The centre lies on a side, as every rim point the walk queries does:
     anywhere on it, at a corner, or a few ulps either side of where the
@@ -460,21 +507,20 @@ def rim_walk_steps(draw):
         t = min(max((u - along) / step, 0.0), 1.0)
     center = (ax + t * dx, ay + t * dy)
     s = (s_edge + t * length) % dom.perimeter
-    direction = draw(st.sampled_from([1.0, -1.0]))
-    return dom, center, s, eps, direction
+    return dom, center, s, eps
 
 
 @settings(max_examples=1000, deadline=None)
 @given(rim_walk_steps())
 def test_step_along_side_equals_full_search(step):
-    dom, center, s, eps, direction = step
-    fast = step_along_side(dom, center, s, eps, direction)
+    dom, center, s, eps = step
+    fast = step_along_side(dom, center, s, eps)
     if fast is None:
         # the walk falls back to the full search; a lone side in reach
         # falls back only where rounding swamps the radius
         assert _sides_in_reach(dom, center, eps) != 1 or eps < 1e-6 * dom.diagonal
         return
-    oracle = nearest_ahead(dom, center, s, eps, direction)
+    oracle = nearest_ahead(dom, center, s, eps)
     assert oracle is not None
     assert _bits(fast) == _bits(oracle)
     assert type(fast[0]) is tuple
@@ -483,15 +529,14 @@ def test_step_along_side_equals_full_search(step):
 
 def test_step_along_side_picks_the_root_on_the_walks_side():
     dom = Domain(0.0, 10.0, 0.0, 7.0)
-    # mid-side: counter-clockwise steps to larger s, clockwise to smaller
-    assert step_along_side(dom, (4.0, 0.0), 4.0, 0.5, 1.0) == ((4.5, 0.0), 4.5, 0.5)
-    assert step_along_side(dom, (4.0, 0.0), 4.0, 0.5, -1.0) == ((3.5, 0.0), 3.5, 0.5)
+    # mid-side: counter-clockwise steps to larger s
+    assert step_along_side(dom, (4.0, 0.0), 4.0, 0.5) == ((4.5, 0.0), 4.5, 0.5)
     # the top side runs from (10, 7), at arclength 17, to the left
-    assert step_along_side(dom, (4.0, 7.0), 23.0, 0.5, 1.0) == ((3.5, 7.0), 23.5, 0.5)
+    assert step_along_side(dom, (4.0, 7.0), 23.0, 0.5) == ((3.5, 7.0), 23.5, 0.5)
     # within reach of the right side's line: the corner is the full search's
-    assert step_along_side(dom, (9.5, 0.0), 9.5, 0.5, 1.0) is None
-    assert step_along_side(dom, (0.0, 0.0), 0.0, 0.5, -1.0) is None
-    assert nearest_ahead(dom, (0.0, 0.0), 0.0, 0.5, -1.0) == ((0.0, 0.5), 33.5, 0.5)
+    assert step_along_side(dom, (9.5, 0.0), 9.5, 0.5) is None
+    assert step_along_side(dom, (0.0, 0.0), 0.0, 0.5) is None
+    assert nearest_ahead(dom, (0.0, 0.0), 0.0, 0.5) == ((0.5, 0.0), 0.5, 0.5)
     # a centre exactly reach from the right side's line has that side in
     # reach, as in the full search; one ulp less of radius leaves the
     # bottom side alone
@@ -499,11 +544,11 @@ def test_step_along_side_picks_the_root_on_the_walks_side():
     eps = next(
         e for e in (_nudge(0.5 - two_tol, k) for k in range(-4, 5)) if e + two_tol == 0.5
     )
-    assert step_along_side(dom, (9.5, 0.0), 9.5, eps, 1.0) is None
+    assert step_along_side(dom, (9.5, 0.0), 9.5, eps) is None
     eps = math.nextafter(eps, 0.0)
-    fast = step_along_side(dom, (9.5, 0.0), 9.5, eps, 1.0)
+    fast = step_along_side(dom, (9.5, 0.0), 9.5, eps)
     assert fast is not None
-    assert fast == nearest_ahead(dom, (9.5, 0.0), 9.5, eps, 1.0)
+    assert fast == nearest_ahead(dom, (9.5, 0.0), 9.5, eps)
 
 
 def test_cached_constants_match_their_formulas():

@@ -516,6 +516,10 @@ def test_walk_on_clipped_shapes_keeps_its_guarantees(shape, eps):
         if not (lab == 1 and on_rim(p, SQUARE)):
             assert distance(p, latest[1 - lab]) <= reach
         latest[lab] = p
+    # each decision step lies epsilon from the one before, so the walk
+    # never repeats a test point
+    for d in clipped.decision_step_lengths([p for p, _ in pts], SQUARE):
+        assert math.isclose(d, eps, rel_tol=1e-12)
     again = run_edge(make_classifier(fn, threshold, SQUARE), EdgeConfig(epsilon=eps))
     assert again.points_in_order() == pts
 
@@ -565,11 +569,10 @@ def wide_clipped_shapes(draw):
 def test_walk_on_a_wide_clipped_shape_closes_in_one_lap(shape_eps):
     shape, eps = shape_eps
     c = make_classifier(shape.fn, shape.threshold, SQUARE)
-    with clipped.rim_entry_directions() as directions:
-        try:
-            est = run_edge(c, EdgeConfig(epsilon=eps))
-        except NoBoundaryFoundError:
-            reject()
+    try:
+        est = run_edge(c, EdgeConfig(epsilon=eps))
+    except NoBoundaryFoundError:
+        reject()
     assert est.termination is Termination.CLOSED_LOOP
     points = [p for p, _ in est.points_in_order()]
     assert clipped.laps(points, shape) <= 1.2
@@ -578,6 +581,75 @@ def test_walk_on_a_wide_clipped_shape_closes_in_one_lap(shape_eps):
     # up to about epsilon / sin(angle) short of such a corner
     for gap, angle in clipped.rim_vertex_gaps(points, shape.outline):
         assert gap <= eps / math.sin(math.radians(min(angle, 90.0)))
-    # the walk keeps the inside on its left, so along the rim it runs
-    # counter-clockwise
-    assert all(d == 1.0 for d in directions)
+    # each decision step lies epsilon from the one before
+    for d in clipped.decision_step_lengths(points, SQUARE):
+        assert math.isclose(d, eps, rel_tol=1e-12)
+
+
+# --- open walk faults ---------------------------------------------------------
+# Each test asserts what the walk should do on a shape where it fails
+# today, and cites the FOUND line in CHANGES.md that describes the fault.
+# They are strict, so the change that fixes one sees it pass and drops its
+# mark.
+
+
+def _walk_clipped(shape, eps):
+    c = make_classifier(shape.fn, shape.threshold, SQUARE)
+    est = run_edge(c, EdgeConfig(epsilon=eps))
+    return est, [p for p, _ in est.points_in_order()]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND in CHANGES.md: a walk closes after a fraction of a lap "
+    "round a turn of radius about epsilon",
+)
+@pytest.mark.parametrize(
+    "shape, eps",
+    [
+        # closes after 6 walk queries, 0.066 of a lap
+        (
+            clipped.ellipse(
+                0.258030360819147, 0.7621591243808461, 0.26095568154992155,
+                0.4654322902959075, 0.7094674975404951,
+            ),
+            0.11496600704859362,
+        ),
+        # a triangle 2.01 epsilon wide: closes after 9 walk queries, 0.54 of a lap
+        (clipped.halfplane(0.5176646566730481, -0.8570985296053372), 0.09673745596977215),
+    ],
+    ids=["ellipse", "triangle"],
+)
+def test_walk_round_a_tight_turn_closes_after_about_one_lap(shape, eps):
+    est, points = _walk_clipped(shape, eps)
+    assert est.termination is Termination.CLOSED_LOOP
+    assert 0.9 <= clipped.laps(points, shape) <= 1.2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND in CHANGES.md: about three laps round a small outside corner",
+)
+def test_walk_round_a_small_outside_corner_closes_in_one_lap():
+    # -0.5690388566665372 x - 0.8223106344950429 y < 1.2251180638511179:
+    # the outside is a corner triangle with legs of 1.2 and 1.75 epsilon;
+    # the walk closes after 2.94 laps, 142 walk queries
+    shape = clipped.halfplane(-2.176132876238634, 0.8805250381974966)
+    est, points = _walk_clipped(shape, 0.166)
+    assert est.termination is Termination.CLOSED_LOOP
+    assert clipped.laps(points, shape) <= 1.2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND in CHANGES.md: a rim exit and one decision step alternate "
+    "until the budget ends",
+)
+def test_walk_beside_a_short_rim_edge_closes():
+    # -0.9895852519161209 x + 0.14394800863543616 y < -0.8158804474632957,
+    # whose clipped part has a top edge 0.03 long next to the corner (1, 1):
+    # the walk repeats the rim exit (0.935526736091692, 1.0) 530 times and
+    # ends budget_exhausted after 1,098 queries
+    shape = clipped.halfplane(2.9971428263892776, -0.7197675408891864)
+    est, _ = _walk_clipped(shape, 0.0729242452907386)
+    assert est.termination is Termination.CLOSED_LOOP

@@ -204,15 +204,20 @@ def test_random_shape_batch_is_unchanged():
     )
 
 
-def test_every_rim_entry_runs_counter_clockwise():
-    # the walk keeps the inside on its left, so a rim episode, which walks
-    # the inside's part of the rim, runs counter-clockwise: over the golden
-    # walks and the random batch, every rim entry picks direction +1
-    with clipped.rim_entry_directions() as directions:
-        for build in GOLDEN_WALKS:
-            run_edge(*build())
-        for fn, threshold, seeds in _random_shapes(3):
-            if seeds is None:
-                run_edge(make_classifier(fn, threshold, SQUARE), EdgeConfig(0.03))
-    assert len(directions) > 100
-    assert set(directions) == {1.0}
+def test_each_decision_step_lies_epsilon_from_the_last():
+    # a decision step's test point lies epsilon from both ends of its pair,
+    # and the previous decision point is one of them; epsilon exceeds
+    # twice the geometric tolerance, so the walk cannot repeat a test point
+    walks = [build() for build in GOLDEN_WALKS] + [
+        (make_classifier(fn, threshold, SQUARE), EdgeConfig(0.03))
+        for fn, threshold, seeds in _random_shapes(3)
+        if seeds is None
+    ]
+    checked = 0
+    for classifier, config in walks:
+        est = run_edge(classifier, config)
+        points = [p for p, _ in est.points_in_order()]
+        for d in clipped.decision_step_lengths(points, classifier.domain):
+            assert math.isclose(d, config.epsilon, rel_tol=1e-12)
+            checked += 1
+    assert checked > 20_000
