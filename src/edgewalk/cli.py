@@ -15,12 +15,11 @@ the partial estimate.  `compare` records each walk's termination in its
 `edge_termination` column; when a walk's budget dies first it still
 writes both files, then exits 3.
 
-`run` keeps the --log-queries log itself, by wrapping the classifier's
-label function: two flat lists, the queried points and their labels.
-One writer then streams points.csv and queries.csv together in a single
-pass over that log.  The seed-scan and bisection probes go to
-queries.csv alone; every later probe is the next estimate point, by the
-point contract in walk.py, so its coordinates are formatted once, to 17
+`run` writes points.csv, and queries.csv under --log-queries, from the
+estimate alone, with one writer and in one pass over it.  The estimate
+keeps the seed-scan and bisection probes, which go to queries.csv
+alone; every later query is the next estimate point, by the point
+contract in walk.py, so its coordinates are formatted once, to 17
 significant digits, for both files.  Every output file is written row by
 row, without holding its whole text, through a temporary file that
 replaces it at the end; a write that raises leaves no temporary behind.
@@ -92,26 +91,6 @@ def _make_classifier(spec: str) -> Classifier:
     return make_test_classifier(spec)
 
 
-def _recording(label_fn, points: list, labels: list):
-    """label_fn, also appending each point it is asked and its label to the logs.
-
-    The two flat lists hold one entry per query, in order, with no tuple
-    per query.  The entry is appended before Classifier.query checks the
-    label; a refused label aborts the run before any file is written, so
-    the log that reaches queries.csv holds only accepted queries.
-    """
-    add_point = points.append
-    add_label = labels.append
-
-    def label(p):
-        raw = label_fn(p)
-        add_point(p)
-        add_label(raw)
-        return raw
-
-    return label
-
-
 def _scalar_spec(spec: str):
     """Field and threshold behind a built-in classifier, if any."""
     key = spec.replace("-", "_").lower()
@@ -151,66 +130,36 @@ def _atomic_write(path: Path, lines: Iterable[str]) -> None:
 _XY = "%.17g,%.17g"
 
 
-def _points_rows(estimate) -> Iterator[str]:
-    """points.csv lines: the estimate's points in append order."""
+def _write_csvs(estimate, points: TextIO, queries: TextIO | None = None) -> None:
+    """Write points.csv to points, and queries.csv to queries if given.
+
+    One pass over the estimate.  queries.csv opens with its probes, the
+    bracket pair among them; every point after the pair is the next query,
+    so its text is formatted once for both files.
+    """
     next_inner = iter(estimate.inner).__next__
     next_outer = iter(estimate.outer).__next__
-    yield "x,y,label,order\n"
-    for order, label in enumerate(estimate.labels_order):
+    write_point = points.write
+    write_point("x,y,label,order\n")
+    rows = enumerate(estimate.labels_order)
+    for order, label in islice(rows, 2):
         p = next_inner() if label == 1 else next_outer()
-        yield f"{_XY % p},{label},{order}\n"
-
-
-def _points_csv(estimate) -> str:
-    """The text of points.csv for an estimate."""
-    return "".join(_points_rows(estimate))
-
-
-def _write_logged(out: Path, estimate, points: list, labels: list) -> None:
-    """Write points.csv and queries.csv together, in one pass over the query log.
-
-    points and labels are the run's query log (see _recording).  Its first
-    seed_queries + bisection_queries entries are the seed-scan and
-    bisection probes: they go to queries.csv alone, and the bracket pair
-    inner[0], outer[0] is found among them by identity.  By the point
-    contract in walk.py every later entry is the next estimate point after
-    the pair, so its text is formatted once for both files; an estimate
-    point that is not the logged object itself (an equal-valued copy, or a
-    twin that differs in the sign of a zero) is formatted on its own.  A
-    log whose walk entries do not pair 1:1 with the estimate raises
-    ValueError, and no file is written.
-    """
-    n_pre = estimate.seed_queries + estimate.bisection_queries
-    inner, outer = estimate.inner, estimate.outer
-    in0, out0 = inner[0], outer[0]
-    in_text = out_text = None
-    with _replacing(out / "points.csv", out / "queries.csv") as (pts, qs):
-        write_point, write_query = pts.write, qs.write
+        write_point(f"{_XY % p},{label},{order}\n")
+    if queries is not None:
+        write_query = queries.write
         write_query("order,x,y,label\n")
-        for order in range(n_pre):
-            q = points[order]
-            text = _XY % q
-            write_query(f"{order},{text},{labels[order]}\n")
-            if q is in0:
-                in_text = text
-            elif q is out0:
-                out_text = text
-        write_point("x,y,label,order\n")
-        write_point(f"{in_text or _XY % in0},1,0\n{out_text or _XY % out0},0,1\n")
-        next_inner = islice(inner, 1, None).__next__
-        next_outer = islice(outer, 1, None).__next__
-        walk = zip(
-            islice(points, n_pre, None),
-            islice(labels, n_pre, None),
-            islice(estimate.labels_order, 2, None),
-            strict=True,
-        )
-        shift = n_pre - 2  # a walk point's log order, less its points.csv order
-        for order, (q, raw, label) in enumerate(walk, 2):
-            text = _XY % q
-            write_query(f"{order + shift},{text},{raw}\n")
-            p = next_inner() if label == 1 else next_outer()
-            write_point(f"{text if p is q else _XY % p},{label},{order}\n")
+        probes = enumerate(zip(estimate.probe_points, estimate.probe_labels))
+        for order, (q, label) in probes:
+            write_query(f"{order},{_XY % q},{label}\n")
+        shift = len(estimate.probe_points) - 2  # query order less points.csv order
+        for order, label in rows:
+            text = _XY % (next_inner() if label == 1 else next_outer())
+            write_point(f"{text},{label},{order}\n")
+            write_query(f"{order + shift},{text},{label}\n")
+    # the rest of points.csv, when no queries.csv took it
+    for order, label in rows:
+        p = next_inner() if label == 1 else next_outer()
+        write_point(f"{_XY % p},{label},{order}\n")
 
 
 def _cmd_run(args) -> int:
@@ -224,10 +173,6 @@ def _cmd_run(args) -> int:
             )
         check_cell(args.reference_cell)
     classifier = _make_classifier(args.classifier)
-    points: list[Point2] = []
-    labels: list[int] = []
-    if args.log_queries:
-        classifier.label_fn = _recording(classifier.label_fn, points, labels)
     config = _walk_config(args, args.epsilon)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -236,10 +181,11 @@ def _cmd_run(args) -> int:
     estimate = run_edge(classifier, config)
     wall = time.perf_counter() - t0
 
+    csvs = [out / "points.csv"]
     if args.log_queries:
-        _write_logged(out, estimate, points, labels)
-    else:
-        _atomic_write(out / "points.csv", _points_rows(estimate))
+        csvs.append(out / "queries.csv")
+    with _replacing(*csvs) as handles:
+        _write_csvs(estimate, *handles)
     report = {
         "classifier": classifier.name,
         "epsilon": args.epsilon,
@@ -281,6 +227,11 @@ def _cmd_run(args) -> int:
         f"-> {out / 'points.csv'}"
     )
     if estimate.termination is Termination.BUDGET_EXHAUSTED:
+        print(
+            f"error: the query budget of {config.budget_for(classifier.domain)} "
+            "ran out before the walk closed",
+            file=sys.stderr,
+        )
         return 3
     if estimate.termination is Termination.FAILED:
         print(f"error: {estimate.failure}", file=sys.stderr)

@@ -76,12 +76,13 @@ Point contract: the geometry builds every candidate point, rim hit and
 bisection midpoint as a plain `(x, y)` tuple; the bisection and the
 walk's one append site make a point a `Point2` once, right before they
 query it.  So every estimate point is a `Point2`, and it is the same
-object the oracle was handed.  The bracket pair is among the seed-scan
-and bisection queries, and every query after them is the next estimate
-point: each walk query, decision or rim, is kept, and a budget death
-raises before its query reaches the oracle.
-`edgewalk run --log-queries` relies on this pairing to write points.csv
-and queries.csv in one pass, formatting each walk point once.
+object the oracle was handed.  The estimate keeps the seed-scan and
+bisection queries, in order, as its probes (`_Budget.probe`), and every
+query after them is the next estimate point after the bracket pair:
+each walk query, decision or rim, is kept, and a budget death raises
+before its query reaches the oracle.  So the estimate alone holds every
+query of a run, and `edgewalk run --log-queries` writes points.csv and
+queries.csv from it in one pass, formatting each walk point once.
 """
 
 from __future__ import annotations
@@ -219,13 +220,20 @@ class BoundaryEstimate:
 
     labels_order records the label of each appended point in append order,
     so the interleaving of the two sets can be reconstructed: the k-th
-    entry says which set received its next point at step k.  A walk that
-    ends in a geometric failure keeps its message in failure.
+    entry says which set received its next point at step k.  probe_points
+    and probe_labels are the seed-scan (or explicit-seed) and bisection
+    queries with their labels, in query order; the bracket pair inner[0],
+    outer[0] is among them, and every later query of the run is the next
+    point after that pair, so these lists and the points complete the
+    run's query log.  A walk that ends in a geometric failure keeps its
+    message in failure.
     """
 
     inner: list[Point2]
     outer: list[Point2]
     labels_order: list[int]
+    probe_points: list[Point2]
+    probe_labels: list[int]
     epsilon: float
     termination: Termination
     total_queries: int
@@ -254,7 +262,10 @@ class _Budget:
     """The run's query gate: counts oracle calls and enforces the cap.
 
     run_edge builds one per run and passes it to every step, which reads
-    the domain from it and queries only through query().
+    the domain from it and queries only through it.  The seed scan, the
+    explicit seeds and the bisection call probe(), which also keeps each
+    point and its label in probe_points and probe_labels; the walk calls
+    query(), since the estimate keeps its points.
     """
 
     def __init__(self, classifier: Classifier, max_queries: int):
@@ -263,6 +274,8 @@ class _Budget:
         self.max_queries = max_queries
         self.start = classifier.query_count
         self.limit = self.start + max_queries
+        self.probe_points: list[Point2] = []
+        self.probe_labels: list[int] = []
 
     @property
     def used(self) -> int:
@@ -274,6 +287,13 @@ class _Budget:
                 f"query budget of {self.max_queries} exhausted"
             )
         return self.classifier.query(p)
+
+    def probe(self, p: Point2) -> int:
+        """query(p), keeping p and its label at the end of the probe lists."""
+        label = self.query(p)
+        self.probe_points.append(p)
+        self.probe_labels.append(label)
+        return label
 
 
 def _bisect(
@@ -289,7 +309,7 @@ def _bisect(
     """
     while distance(x_in, x_out) >= epsilon:
         m = _new_point(Point2, midpoint(x_in, x_out))
-        if budget.query(m) == 0:
+        if budget.probe(m) == 0:
             x_out = m
         else:
             x_in = m
@@ -455,12 +475,7 @@ def decision_boundary_walk(
             if to_outer < back_dist:
                 back_dist = to_outer
             if escaped:
-                if (
-                    back_dist <= epsilon
-                    and steps >= 3
-                    and len(inner) > 1
-                    and len(outer) > 1
-                ):
+                if back_dist <= epsilon:
                     return Termination.CLOSED_LOOP, None
             elif back_dist > 2.0 * epsilon:
                 escaped = True
@@ -485,17 +500,15 @@ def _seed_search(budget: _Budget, epsilon: float) -> tuple[Point2, Point2]:
 
     Queries the corners, then the center, then cell centers of 2^k x 2^k
     grids of increasing k, stopping as soon as both labels have been seen.
-    Returns the closest opposite-label pair among all points scanned.
+    Returns the closest opposite-label pair among all points scanned,
+    which are the budget's probes so far.
     """
     domain = budget.domain
-    points: list[Point2] = []
-    labels: list[int] = []
+    points, labels = budget.probe_points, budget.probe_labels
     seen = set()
 
     def probe(p: Point2) -> bool:
-        labels.append(budget.query(p))
-        points.append(p)
-        seen.add(labels[-1])
+        seen.add(budget.probe(p))
         return len(seen) == 2
 
     try:
@@ -557,9 +570,9 @@ def run_edge(c: Classifier, config: EdgeConfig) -> BoundaryEstimate:
     if config.seed_interior is not None and config.seed_exterior is not None:
         x_in = Point2(*config.seed_interior)
         x_out = Point2(*config.seed_exterior)
-        if budget.query(x_in) != 1:
+        if budget.probe(x_in) != 1:
             raise InputError(f"interior seed {x_in} has label 0")
-        if budget.query(x_out) != 0:
+        if budget.probe(x_out) != 0:
             raise InputError(f"exterior seed {x_out} has label 1")
     else:
         x_in, x_out = _seed_search(budget, epsilon)
@@ -574,6 +587,8 @@ def run_edge(c: Classifier, config: EdgeConfig) -> BoundaryEstimate:
         inner=inner,
         outer=outer,
         labels_order=labels_order,
+        probe_points=budget.probe_points,
+        probe_labels=budget.probe_labels,
         epsilon=epsilon,
         termination=termination,
         total_queries=budget.used,

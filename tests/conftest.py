@@ -4,14 +4,26 @@ from collections.abc import Sequence
 
 import pytest
 
-from edgewalk import cli
+
+def _recording(label_fn, points: list, labels: list):
+    """label_fn, also appending each point it is asked and its raw label."""
+    add_point = points.append
+    add_label = labels.append
+
+    def label(p):
+        raw = label_fn(p)
+        add_point(p)
+        add_label(raw)
+        return raw
+
+    return label
 
 
 class QueryLog(Sequence):
     """A classifier's queries as (point, label) pairs, in the order asked.
 
-    Installs the recorder that `edgewalk run --log-queries` uses, so each
-    point is the very object the classifier was handed.
+    Wraps the classifier's label function, so each point is the very
+    object the classifier was handed.
     """
 
     def __init__(self, classifier=None):
@@ -21,7 +33,7 @@ class QueryLog(Sequence):
 
     def watch(self, classifier):
         """Record classifier's queries here from now on."""
-        classifier.label_fn = cli._recording(
+        classifier.label_fn = _recording(
             classifier.label_fn, self.points, self.labels
         )
 

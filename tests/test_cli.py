@@ -1,12 +1,12 @@
 """End-to-end behavior of the command line front end."""
 
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
-import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -301,25 +301,24 @@ class TestRun:
         )
         assert rc == 4
 
-    def test_budget_death_reports_partial_estimate(self, tmp_path):
+    @pytest.mark.parametrize("log", [[], ["--log-queries"]], ids=["bare", "logged"])
+    def test_budget_death_reports_partial_estimate(self, tmp_path, capsys, log):
+        # a 200-query walk at 0.05 stops far short of closing round rosenbrock
         out = tmp_path / "o"
-        rc = main(
-            [
-                "run",
-                "rosenbrock",
-                "--epsilon",
-                "0.1",
-                "--max-queries",
-                "40",
-                "--out",
-                str(out),
-            ]
-        )
-        assert rc == 3
+        argv = ["run", "rosenbrock", "--epsilon", "0.05", "--max-queries", "200"]
+        assert main([*argv, *log, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "query budget of 200" in err
         report = json.loads((out / "report.json").read_text())
         assert report["termination"] == "budget_exhausted"
-        assert report["total_queries"] == 40
-        assert (out / "points.csv").exists()
+        assert report["total_queries"] == 200
+        rows = read_csv(out / "points.csv")
+        assert len(rows) == report["inner_points"] + report["outer_points"]
+        if log:
+            assert len(read_csv(out / "queries.csv")) == 200
+        else:
+            assert not (out / "queries.csv").exists()
 
     def test_geometric_failure_reports_partial_estimate(
         self, tmp_path, rim_interior, capsys
@@ -508,61 +507,62 @@ coords = st.one_of(
 points = st.builds(Point2, coords, coords)
 
 
-def _twin(draw, p):
-    """p itself, an equal-valued copy, or a twin with each zero's sign flipped."""
-    choice = draw(st.integers(0, 2))
-    if choice == 0:
-        return p
-    if choice == 1:
-        return Point2(*p)
-    return Point2(-p.x if p.x == 0.0 else p.x, -p.y if p.y == 0.0 else p.y)
+def query_log(estimate):
+    """Every query of the run behind estimate, as (point, label), in order."""
+    probes = list(zip(estimate.probe_points, estimate.probe_labels))
+    return probes + estimate.points_in_order()[2:]
+
+
+def make_estimate(probes, kept):
+    """An estimate whose probes and kept points are (point, label) lists."""
+    walk_queries = len(kept) - 2
+    return BoundaryEstimate(
+        inner=[p for p, label in kept if label == 1],
+        outer=[p for p, label in kept if label == 0],
+        labels_order=[label for _, label in kept],
+        probe_points=[p for p, _ in probes],
+        probe_labels=[label for _, label in probes],
+        epsilon=0.1,
+        termination=Termination.CLOSED_LOOP,
+        total_queries=len(probes) + walk_queries,
+        seed_queries=len(probes),
+        bisection_queries=0,
+        walk_queries=walk_queries,
+        failure=None,
+    )
 
 
 @st.composite
-def logs_and_estimates(draw):
-    """A query log and an estimate that keep the point contract.
+def estimates(draw):
+    """An estimate with probes, shaped as run_edge returns one.
 
-    The log opens with seed and bisection probes, which may query one
-    point object twice; the bracket pair is two of them, each the logged
-    object, an equal-valued copy or a signed-zero twin, or now and then a
-    point never logged.  Every later log entry pairs 1:1 with the
-    estimate's next point after the pair, which is the same object, an
-    equal-valued copy or a signed-zero twin of it.
+    The probes may query one point object twice, and the bracket pair is
+    two of them, or now and then a point never probed.  The walk's points
+    may repeat a probe's object or value, signed zeros, subnormals and
+    the exponent edges of %.17g included.
     """
     labels = st.sampled_from([0, 1])
     pool = draw(st.lists(points, min_size=1, max_size=12))
     pool_index = st.integers(0, len(pool) - 1)
     picks = draw(st.lists(pool_index, min_size=2, max_size=20))
     probes = [(pool[i], draw(labels)) for i in picks]
-    pair = []
-    for _ in range(2):
-        if draw(st.integers(0, 7)):
-            pair.append(_twin(draw, probes[draw(st.integers(0, len(probes) - 1))][0]))
-        else:
-            pair.append(draw(points))
+    pair = [
+        draw(st.one_of(points, st.sampled_from([p for p, _ in probes])))
+        for _ in range(2)
+    ]
     walk = [
         (draw(st.one_of(points, st.sampled_from(pool))), draw(labels))
         for _ in range(draw(st.integers(0, 30)))
     ]
-    kept = [(pair[0], 1), (pair[1], 0), *((_twin(draw, q), label) for q, label in walk)]
-    seed_queries = draw(st.integers(0, len(probes)))
-    estimate = BoundaryEstimate(
-        inner=[p for p, label in kept if label == 1],
-        outer=[p for p, label in kept if label == 0],
-        labels_order=[label for _, label in kept],
-        epsilon=0.1,
-        termination=Termination.CLOSED_LOOP,
-        total_queries=len(probes) + len(walk),
-        seed_queries=seed_queries,
-        bisection_queries=len(probes) - seed_queries,
-        walk_queries=len(walk),
-        failure=None,
-    )
-    return probes + walk, estimate
+    return make_estimate(probes, [(pair[0], 1), (pair[1], 0), *walk])
 
 
-def write_logged(out, estimate, log):
-    cli._write_logged(out, estimate, [p for p, _ in log], [label for _, label in log])
+def render(estimate, log_queries):
+    """The points.csv text, and the queries.csv text or None, for estimate."""
+    handles = [io.StringIO() for _ in range(1 + log_queries)]
+    cli._write_csvs(estimate, *handles)
+    texts = [fh.getvalue() for fh in handles]
+    return texts[0], texts[1] if log_queries else None
 
 
 def clipped_disc():
@@ -583,50 +583,36 @@ LOGGED_RUNS = {
     ),
     "clipped-disc": (["disc", "--epsilon", "0.1"], 0),
     "max-queries": (["rosenbrock", "--epsilon", "0.1", "--max-queries", "40"], 3),
+    # the 34th query would be a rim step of the clipped disc
+    "budget-death-on-the-rim": (["disc", "--epsilon", "0.1", "--max-queries", "33"], 3),
     "geometric-failure": (["rim", "--epsilon", "0.05"], 5),
 }
 
 
 class TestCsvWriters:
     @settings(max_examples=400, deadline=None)
-    @given(logs_and_estimates())
-    def test_writers_match_seed_f_strings(self, drawn):
-        log, estimate = drawn
-        with tempfile.TemporaryDirectory() as tmp:
-            out = Path(tmp)
-            write_logged(out, estimate, log)
-            assert sorted(os.listdir(out)) == ["points.csv", "queries.csv"]
-            assert (out / "queries.csv").read_text() == seed_queries_csv(log)
-            assert (out / "points.csv").read_text() == seed_points_csv(estimate)
-        assert cli._points_csv(estimate) == seed_points_csv(estimate)
+    @given(estimates())
+    def test_writers_match_seed_f_strings(self, estimate):
+        points_text, queries_text = render(estimate, log_queries=True)
+        assert queries_text == seed_queries_csv(query_log(estimate))
+        assert points_text == seed_points_csv(estimate)
+        assert render(estimate, log_queries=False) == (points_text, None)
 
-    def test_signed_zero_keeps_its_own_text(self, tmp_path):
-        logged = Point2(0.0, 1.0)
-        log = [(logged, 1), (Point2(2.0, 3.0), 0), (logged, 1)]
-        estimate = BoundaryEstimate(
-            inner=[logged, Point2(-0.0, 1.0)],
-            outer=[log[1][0]],
-            labels_order=[1, 0, 1],
-            epsilon=0.1,
-            termination=Termination.CLOSED_LOOP,
-            total_queries=3,
-            seed_queries=2,
-            bisection_queries=0,
-            walk_queries=1,
-            failure=None,
-        )
-        write_logged(tmp_path, estimate, log)
-        text = (tmp_path / "points.csv").read_text()
-        assert text == "x,y,label,order\n0,1,1,0\n2,3,0,1\n-0,1,1,2\n"
-        assert text == seed_points_csv(estimate)
-        assert (tmp_path / "queries.csv").read_text() == seed_queries_csv(log)
+    def test_signed_zero_keeps_its_own_text(self):
+        zero, other = Point2(0.0, 1.0), Point2(2.0, 3.0)
+        probes = [(zero, 1), (other, 0)]
+        estimate = make_estimate(probes, [*probes, (Point2(-0.0, 1.0), 1)])
+        points_text, queries_text = render(estimate, log_queries=True)
+        assert points_text == "x,y,label,order\n0,1,1,0\n2,3,0,1\n-0,1,1,2\n"
+        assert points_text == seed_points_csv(estimate)
+        assert queries_text == "order,x,y,label\n0,0,1,1\n1,2,3,0\n2,-0,1,1\n"
 
     @pytest.mark.parametrize("case", LOGGED_RUNS)
     def test_logged_runs_match_seed_f_strings(
         self, request, tmp_path, monkeypatch, record_queries, case
     ):
         argv, code = LOGGED_RUNS[case]
-        if case == "clipped-disc":
+        if argv[0] == "disc":
             monkeypatch.setattr(cli, "_make_classifier", lambda spec: clipped_disc())
         elif case == "geometric-failure":
             argv = argv + request.getfixturevalue("rim_interior")
@@ -649,8 +635,12 @@ class TestCsvWriters:
         (estimate,) = estimates
         assert estimate.walk_queries > 0
         assert len(log) == estimate.total_queries
+        assert query_log(estimate) == log
         if case == "clipped-disc":
             assert any(p.x == 1.0 for p in estimate.inner)
+        elif case == "budget-death-on-the-rim":
+            assert estimate.total_queries == 33
+            assert estimate.inner[-1] is log[-1][0] and log[-1][0].x == 1.0
         assert (out / "queries.csv").read_text() == seed_queries_csv(log)
         assert (out / "points.csv").read_text() == seed_points_csv(estimate)
 
@@ -661,20 +651,22 @@ class TestFailedWrites:
     run reports it in one error line on stderr and exits 1.
     """
 
-    def test_row_generator_raising_leaves_nothing(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        rows = cli._points_rows
+    @staticmethod
+    def _failing_writer(monkeypatch):
+        # every file gets a line, then the disk fills
+        def write_csvs(estimate, *handles):
+            for fh in handles:
+                fh.write("x,y,label,order\n")
+            raise OSError("disk full")
 
-        def failing_rows(estimate):
-            for n, line in enumerate(rows(estimate)):
-                if n == 10:
-                    raise OSError("disk full")
-                yield line
+        monkeypatch.setattr(cli, "_write_csvs", write_csvs)
 
-        monkeypatch.setattr(cli, "_points_rows", failing_rows)
+    @pytest.mark.parametrize("log", [[], ["--log-queries"]], ids=["bare", "logged"])
+    def test_writer_raising_leaves_nothing(self, tmp_path, monkeypatch, capsys, log):
+        self._failing_writer(monkeypatch)
         out = tmp_path / "o"
-        assert main(["run", "rosenbrock", "--epsilon", "0.2", "--out", str(out)]) == 1
+        argv = ["run", "rosenbrock", "--epsilon", "0.2", *log, "--out", str(out)]
+        assert main(argv) == 1
         assert capsys.readouterr().err == "error: disk full\n"
         assert list(out.iterdir()) == []
 
@@ -688,26 +680,17 @@ class TestFailedWrites:
         assert str(out) in err
         assert blocker.read_text() == "{}"
 
-    def test_unpaired_log_leaves_earlier_files_as_they_were(self, tmp_path):
-        a, b = Point2(0.0, 0.0), Point2(1.0, 0.0)
-        estimate = BoundaryEstimate(
-            inner=[a],
-            outer=[b],
-            labels_order=[1, 0],
-            epsilon=0.1,
-            termination=Termination.CLOSED_LOOP,
-            total_queries=2,
-            seed_queries=2,
-            bisection_queries=0,
-            walk_queries=0,
-            failure=None,
-        )
-        (tmp_path / "points.csv").write_text("earlier\n")
-        # one walk entry more than the estimate has points after the pair
-        with pytest.raises(ValueError):
-            write_logged(tmp_path, estimate, [(a, 1), (b, 0), (Point2(0.5, 0.5), 1)])
-        assert sorted(os.listdir(tmp_path)) == ["points.csv"]
-        assert (tmp_path / "points.csv").read_text() == "earlier\n"
+    def test_failed_write_leaves_earlier_files_as_they_were(
+        self, tmp_path, monkeypatch
+    ):
+        self._failing_writer(monkeypatch)
+        for name in ("points.csv", "queries.csv"):
+            (tmp_path / name).write_text("earlier\n")
+        argv = ["run", "rosenbrock", "--epsilon", "0.2", "--log-queries"]
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        assert sorted(os.listdir(tmp_path)) == ["points.csv", "queries.csv"]
+        for name in ("points.csv", "queries.csv"):
+            assert (tmp_path / name).read_text() == "earlier\n"
 
 
 def test_logged_run_stays_under_200_bytes_per_query(tmp_path):

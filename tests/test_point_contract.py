@@ -2,15 +2,14 @@
 
 The geometry builds plain (x, y) tuples, the walk makes a point a Point2
 right before it queries it, and the grid queries plain tuples and keeps
-Point2 transition points.  Under `run --log-queries` each estimate point
-is therefore the very object that was logged, so the CLI formats it once.
+Point2 transition points.  Each estimate point is therefore the very
+object the oracle was handed, and the estimate's probes and points hold
+every query of the run in order, which `run --log-queries` writes.
 """
 
 import pytest
 
-from edgewalk import cli
 from edgewalk.classifier import make_classifier
-from edgewalk.cli import main
 from edgewalk.geometry import (
     Domain,
     Point2,
@@ -80,31 +79,32 @@ def test_grid_queries_plain_tuples_and_keeps_point2(record_queries):
 
 
 @pytest.mark.parametrize(
-    "extra",
-    [[], ["--seed-in", "0.9,0", "--seed-out=-0.9,0"]],
-    ids=["seed-scan", "explicit-seeds"],
+    "config",
+    [
+        EdgeConfig(epsilon=0.1),
+        EdgeConfig(epsilon=0.1, seed_interior=(0.9, 0.0), seed_exterior=(-0.9, 0.0)),
+        EdgeConfig(epsilon=0.1, max_queries=33),
+    ],
+    ids=["seed-scan", "explicit-seeds", "budget-death-on-the-rim"],
 )
-def test_logged_run_formats_each_estimate_point_once(tmp_path, monkeypatch, extra):
-    monkeypatch.setattr(cli, "_make_classifier", lambda spec: clipped_disc())
-    written = []
-    write = cli._write_logged
-
-    def write_kept(out, estimate, points, labels):
-        written.append((estimate, points))
-        write(out, estimate, points, labels)
-
-    monkeypatch.setattr(cli, "_write_logged", write_kept)
-    argv = ["run", "disc", "--epsilon", "0.1", "--log-queries", "--out", str(tmp_path)]
-    assert main(argv + extra) == 0
-    ((est, log),) = written
-    logged = {id(p) for p in log}
+def test_estimate_holds_every_query_in_order(config, record_queries):
+    c = clipped_disc()
+    log = record_queries(c)
+    est = run_edge(c, config)
+    ending = "budget_exhausted" if config.max_queries else "closed_loop"
+    assert est.termination.value == ending
     assert len(log) == est.total_queries
-    assert all(id(p) in logged for p in est.inner + est.outer)
-    # the writer's pairing: the bracket pair among the seed and bisection
-    # probes, then each later query is the next estimate point itself
     n_pre = est.seed_queries + est.bisection_queries
-    assert any(p is est.inner[0] for p in log[:n_pre])
-    assert any(p is est.outer[0] for p in log[:n_pre])
-    after_pair = [p for p, _ in est.points_in_order()[2:]]
-    assert len(after_pair) == len(log) - n_pre
-    assert all(p is q for p, q in zip(after_pair, log[n_pre:]))
+    # the probes are the seed and bisection queries themselves, with their labels
+    assert len(est.probe_points) == len(est.probe_labels) == n_pre
+    assert all(p is q for p, (q, _) in zip(est.probe_points, log[:n_pre]))
+    assert est.probe_labels == [label for _, label in log[:n_pre]]
+    assert any(p is est.inner[0] for p in est.probe_points)
+    assert any(p is est.outer[0] for p in est.probe_points)
+    # each later query is the next estimate point after the pair itself
+    after_pair = est.points_in_order()[2:]
+    assert len(after_pair) == len(log) - n_pre > 0
+    assert all(
+        p is q and label == raw
+        for (p, label), (q, raw) in zip(after_pair, log[n_pre:])
+    )

@@ -575,7 +575,12 @@ def test_walk_on_a_wide_clipped_shape_closes_in_one_lap(shape_eps):
         reject()
     assert est.termination is Termination.CLOSED_LOOP
     points = [p for p, _ in est.points_in_order()]
-    assert clipped.laps(points, shape) <= 1.2
+    # one lap, less the reach of the closure test: the walk stops once
+    # within epsilon of its start pair, about 2 epsilon short at most (2.2
+    # in 600 draws); the half-lap closure on the 2.01-epsilon triangle of
+    # the tight-turn test below falls 0.19 laps under this bound
+    laps = clipped.laps(points, shape)
+    assert 1.0 - 3.0 * eps / sum(shape.lengths()) <= laps <= 1.2
     # a rim vertex lies within epsilon of a walk point, except where the
     # outline turns through an acute angle there: the walk meets the rim
     # up to about epsilon / sin(angle) short of such a corner

@@ -8,6 +8,7 @@ of walk output must re-record them and say so.
 """
 
 import hashlib
+import io
 import math
 import random
 
@@ -15,11 +16,18 @@ import pytest
 
 import clipped
 from edgewalk.classifier import make_classifier, make_test_classifier
-from edgewalk.cli import _points_csv
+from edgewalk.cli import _write_csvs
 from edgewalk.dcopf import default_network, make_dcopf_classifier
 from edgewalk.errors import InputError
 from edgewalk.geometry import Domain, Point2
 from edgewalk.walk import EdgeConfig, Termination, run_edge
+
+
+def _points_csv(est):
+    """The points.csv text `edgewalk run` writes for est."""
+    buf = io.StringIO()
+    _write_csvs(est, buf)
+    return buf.getvalue()
 
 
 def _rosenbrock():
