@@ -28,7 +28,8 @@ def main():
     radial = [abs(math.hypot(p.x, p.y) - 1.0) for p in est.inner + est.outer]
     print(f"radial error:   worst {max(radial):.4f} against a step size of 0.05")
 
-    efficiency = est.walk_points_appended / est.walk_queries
+    # the estimate's points past the bracket pair are the walk's
+    efficiency = (len(est.inner) + len(est.outer) - 2) / est.walk_queries
     print(f"walk yield:     {efficiency:.0%} of walk queries became estimate points")
 
     head = est.points_in_order()[:5]

@@ -16,13 +16,13 @@ the partial estimate.  `compare` records each walk's termination in its
 writes both files, then exits 3.
 
 `run` writes points.csv, and queries.csv under --log-queries, from the
-estimate alone, with one writer and in one pass over it.  The estimate
-keeps the seed-scan and bisection probes, which go to queries.csv
-alone; every later query is the next estimate point, by the point
-contract in walk.py, so its coordinates are formatted once, to 17
-significant digits, for both files.  Every output file is written row by
-row, without holding its whole text, through a temporary file that
-replaces it at the end; a write that raises leaves no temporary behind.
+estimate alone, with one writer and in one pass over it.  queries.csv
+opens with the seed scan's probes, regenerated from the domain, and the
+estimate's log follows; the walk's points end both files, so their
+coordinates are formatted once, to 17 significant digits, for both.
+Every output file is written row by row, without holding its whole text,
+through a temporary file that replaces it at the end; a write that
+raises leaves no temporary behind.
 """
 
 from __future__ import annotations
@@ -130,36 +130,28 @@ def _atomic_write(path: Path, lines: Iterable[str]) -> None:
 _XY = "%.17g,%.17g"
 
 
-def _write_csvs(estimate, points: TextIO, queries: TextIO | None = None) -> None:
+def _write_csvs(estimate, domain, points: TextIO, queries: TextIO | None = None) -> None:
     """Write points.csv to points, and queries.csv to queries if given.
 
-    One pass over the estimate.  queries.csv opens with its probes, the
-    bracket pair among them; every point after the pair is the next query,
-    so its text is formatted once for both files.
+    One pass over the estimate of a run over domain.  Both files end in
+    the walk's points, so their text is formatted once for both.
     """
-    next_inner = iter(estimate.inner).__next__
-    next_outer = iter(estimate.outer).__next__
     write_point = points.write
     write_point("x,y,label,order\n")
-    rows = enumerate(estimate.labels_order)
-    for order, label in islice(rows, 2):
-        p = next_inner() if label == 1 else next_outer()
-        write_point(f"{_XY % p},{label},{order}\n")
+    inner, outer = estimate.pair
+    write_point(f"{_XY % inner},1,0\n{_XY % outer},0,1\n")
+    before_walk = estimate.total_queries - estimate.walk_queries
     if queries is not None:
         write_query = queries.write
         write_query("order,x,y,label\n")
-        probes = enumerate(zip(estimate.probe_points, estimate.probe_labels))
-        for order, (q, label) in probes:
+        log = islice(estimate.query_log(domain), before_walk)
+        for order, (q, label) in enumerate(log):
             write_query(f"{order},{_XY % q},{label}\n")
-        shift = len(estimate.probe_points) - 2  # query order less points.csv order
-        for order, label in rows:
-            text = _XY % (next_inner() if label == 1 else next_outer())
-            write_point(f"{text},{label},{order}\n")
-            write_query(f"{order + shift},{text},{label}\n")
-    # the rest of points.csv, when no queries.csv took it
-    for order, label in rows:
-        p = next_inner() if label == 1 else next_outer()
-        write_point(f"{_XY % p},{label},{order}\n")
+    for k, (p, label) in enumerate(estimate.walk_log()):
+        text = _XY % p
+        write_point(f"{text},{label},{2 + k}\n")
+        if queries is not None:
+            write_query(f"{before_walk + k},{text},{label}\n")
 
 
 def _cmd_run(args) -> int:
@@ -185,7 +177,7 @@ def _cmd_run(args) -> int:
     if args.log_queries:
         csvs.append(out / "queries.csv")
     with _replacing(*csvs) as handles:
-        _write_csvs(estimate, *handles)
+        _write_csvs(estimate, classifier.domain, *handles)
     report = {
         "classifier": classifier.name,
         "epsilon": args.epsilon,

@@ -24,7 +24,9 @@ arclength, the arclength the current episode has covered, whether the
 walk has escaped its start, and the two closure targets of a walk that
 starts on the rim (below).  Every test point of either mode is queried
 and appended at one site, and the closure tests run there after a
-decision step or a rim exit.
+decision step or a rim exit; an interior rim point runs only the test
+of escape from the start pair, so that a lap that is one long rim
+episode escapes too.
 
 Closure.  A walk closes when it returns within epsilon of its start pair
 after first moving more than 2 epsilon away.  A start pair bisected on
@@ -75,21 +77,26 @@ estimate.
 Point contract: the geometry builds every candidate point, rim hit and
 bisection midpoint as a plain `(x, y)` tuple; the bisection and the
 walk's one append site make a point a `Point2` once, right before they
-query it.  So every estimate point is a `Point2`, and it is the same
-object the oracle was handed.  The estimate keeps the seed-scan and
-bisection queries, in order, as its probes (`_Budget.probe`), and every
-query after them is the next estimate point after the bracket pair:
-each walk query, decision or rim, is kept, and a budget death raises
-before its query reaches the oracle.  So the estimate alone holds every
-query of a run, and `edgewalk run --log-queries` writes points.csv and
+query it.  The run logs every query after the seed scan, in order and
+with its label: the explicit seeds, the bisection midpoints, then each
+walk point, decision or rim, each the very object the oracle was handed;
+a budget death raises before its query reaches the oracle.  The scan's
+probes are the first `seed_queries` points of `seed_scan`, all with one
+label but the last, so the estimate keeps only that label, and
+`BoundaryEstimate.query_log` regenerates them.  So the estimate holds
+every query of a run in memory that grows with the boundary, not with
+the scan, and `edgewalk run --log-queries` writes points.csv and
 queries.csv from it in one pass, formatting each walk point once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import islice, repeat
 
 from .classifier import Classifier
 from .errors import (
@@ -216,24 +223,20 @@ class EdgeConfig:
 
 @dataclass
 class BoundaryEstimate:
-    """Ordered boundary localization produced by a walk.
+    """Ordered boundary localization produced by a run.
 
-    labels_order records the label of each appended point in append order,
-    so the interleaving of the two sets can be reconstructed: the k-th
-    entry says which set received its next point at step k.  probe_points
-    and probe_labels are the seed-scan (or explicit-seed) and bisection
-    queries with their labels, in query order; the bracket pair inner[0],
-    outer[0] is among them, and every later query of the run is the next
-    point after that pair, so these lists and the points complete the
-    run's query log.  A walk that ends in a geometric failure keeps its
-    message in failure.
+    points and labels log every query after the seed scan in order: the
+    explicit seeds, the bisection midpoints, then walk_queries walk
+    points.  The walk starts from pair, the bracket (inner, outer).  A
+    scan keeps only scan_label, the label of all its probes but the last
+    (None with explicit seeds).  inner and outer are built on first use.
+    A walk that ends in a geometric failure keeps its message in failure.
     """
 
-    inner: list[Point2]
-    outer: list[Point2]
-    labels_order: list[int]
-    probe_points: list[Point2]
-    probe_labels: list[int]
+    points: list[Point2]
+    labels: bytearray
+    pair: tuple[Point2, Point2]
+    scan_label: int | None
     epsilon: float
     termination: Termination
     total_queries: int
@@ -242,30 +245,39 @@ class BoundaryEstimate:
     walk_queries: int
     failure: str | None
 
-    def points_in_order(self) -> list[tuple[Point2, int]]:
-        """All estimate points as (point, label), in append order."""
-        it_in = iter(self.inner)
-        it_out = iter(self.outer)
-        out: list[tuple[Point2, int]] = []
-        for lab in self.labels_order:
-            p = next(it_in) if lab == 1 else next(it_out)
-            out.append((p, lab))
-        return out
+    def walk_log(self) -> Iterator[tuple[Point2, int]]:
+        """The walk's points as (point, label), in query order."""
+        start = len(self.points) - self.walk_queries
+        return zip(islice(self.points, start, None), islice(self.labels, start, None))
 
-    @property
-    def walk_points_appended(self) -> int:
-        """Points appended after the initial bracket pair."""
-        return len(self.labels_order) - 2
+    @cached_property
+    def inner(self) -> list[Point2]:
+        return [self.pair[0], *(p for p, label in self.walk_log() if label == 1)]
+
+    @cached_property
+    def outer(self) -> list[Point2]:
+        return [self.pair[1], *(p for p, label in self.walk_log() if label == 0)]
+
+    def points_in_order(self) -> list[tuple[Point2, int]]:
+        """The pair, then the walk's points, as (point, label), in append order."""
+        return [(self.pair[0], 1), (self.pair[1], 0), *self.walk_log()]
+
+    def query_log(self, domain: Domain) -> Iterator[tuple[Point2, int]]:
+        """Every query of the run over domain, as (point, label), in order."""
+        if self.scan_label is not None:
+            scan = seed_scan(domain, self.epsilon)
+            yield from zip(islice(scan, self.seed_queries - 1), repeat(self.scan_label))
+            yield next(scan), 1 - self.scan_label
+        yield from zip(self.points, self.labels)
 
 
 class _Budget:
-    """The run's query gate: counts oracle calls and enforces the cap.
+    """The run's query gate, which counts oracle calls and enforces the cap.
 
     run_edge builds one per run and passes it to every step, which reads
-    the domain from it and queries only through it.  The seed scan, the
-    explicit seeds and the bisection call probe(), which also keeps each
-    point and its label in probe_points and probe_labels; the walk calls
-    query(), since the estimate keeps its points.
+    the domain from it and queries only through it.  Every step but the
+    seed scan appends each point it queries, and its label, to the log,
+    points and labels.
     """
 
     def __init__(self, classifier: Classifier, max_queries: int):
@@ -274,8 +286,8 @@ class _Budget:
         self.max_queries = max_queries
         self.start = classifier.query_count
         self.limit = self.start + max_queries
-        self.probe_points: list[Point2] = []
-        self.probe_labels: list[int] = []
+        self.points: list[Point2] = []
+        self.labels = bytearray()
 
     @property
     def used(self) -> int:
@@ -288,13 +300,6 @@ class _Budget:
             )
         return self.classifier.query(p)
 
-    def probe(self, p: Point2) -> int:
-        """query(p), keeping p and its label at the end of the probe lists."""
-        label = self.query(p)
-        self.probe_points.append(p)
-        self.probe_labels.append(label)
-        return label
-
 
 def _bisect(
     budget: _Budget, x_in: Point2, x_out: Point2, epsilon: float
@@ -303,13 +308,16 @@ def _bisect(
 
     The caller vouches for the seed labels (they are not re-queried here)
     and for a positive epsilon.  Each iteration queries the midpoint of the
-    current pair and replaces the endpoint of matching label, halving the
-    gap; the loop runs while the gap is at least epsilon.  Returns the
-    refined (inner, outer) pair.
+    current pair, logs it, and replaces the endpoint of matching label,
+    halving the gap; the loop runs while the gap is at least epsilon.
+    Returns the refined (inner, outer) pair.
     """
     while distance(x_in, x_out) >= epsilon:
         m = _new_point(Point2, midpoint(x_in, x_out))
-        if budget.probe(m) == 0:
+        label = budget.query(m)
+        budget.points.append(m)
+        budget.labels.append(label)
+        if label == 0:
             x_out = m
         else:
             x_in = m
@@ -333,42 +341,38 @@ def _rim_entry(
 
 
 def decision_boundary_walk(
-    budget: _Budget,
-    inner: list[Point2],
-    outer: list[Point2],
-    labels_order: list[int],
-    epsilon: float,
+    budget: _Budget, pair: tuple[Point2, Point2], epsilon: float
 ) -> tuple[Termination, str | None]:
     """Trace the boundary in epsilon steps from a tightened bracket.
 
-    inner and outer hold the bracket pair on entry; the walk appends to
-    them and to labels_order.  It runs in one of two modes.  A decision
-    step intersects the epsilon-circles around the latest inner and outer
-    points and takes the intersection lying ahead of the pair (on the left
-    of the inner-to-outer direction), the first of the two.  When that
-    point falls outside the domain, a rim episode begins where `_rim_entry`
+    pair is the bracket (inner, outer) the walk starts from.  The walk
+    runs in one of two modes.  A decision step intersects the
+    epsilon-circles around the latest inner and outer points and takes
+    the intersection lying ahead of the pair (on the left of the
+    inner-to-outer direction), the first of the two.  When that point
+    falls outside the domain, a rim episode begins where `_rim_entry`
     puts it, and the walk steps counter-clockwise along the perimeter,
-    each step the nearest perimeter point more than tol ahead at distance
-    epsilon, until it finds an exterior point and resumes decision steps.  Away from corners
-    `step_along_side` finds that step on the current side alone; where two
-    sides lie within reach, or the on-side step cannot decide,
-    `perimeter_circle_intersection` searches all four sides for it.  An
-    episode whose steps add up to the whole perimeter raises
-    FullPerimeterError.
+    each step the nearest perimeter point more than tol ahead at
+    distance epsilon, until it finds an exterior point and resumes
+    decision steps.  Away from corners `step_along_side` finds that step
+    on the current side alone; where two sides lie within reach, or the
+    on-side step cannot decide, `perimeter_circle_intersection` searches
+    all four sides for it.  An episode whose steps add up to the whole
+    perimeter raises FullPerimeterError.
 
-    Every test point is queried and appended at one site, which files it
-    by its label.  The closure tests run there after a decision step or
-    a rim exit, never after an interior rim point: the loop closes once
-    the walk has first escaped the start bracket (beyond two epsilon) and
-    the latest point then returns to within epsilon of a start point.  A
-    walk whose first decision step leaves the domain also closes on its
-    anchor, the pair its first in-domain decision step starts from, in
-    the same way, and, once it has escaped the anchor, at a rim entry on
-    the arclength its first rim episode covered (see the module
-    docstring).  Walks on features too small to escape run until the
-    budget ends.  A budget death or a geometric failure ends the walk
-    with the points found so far.  Returns the termination and, for
-    failed, the failure message.
+    Every test point is queried and appended to the budget's log at one
+    site.  The closure tests run there after a decision step or a rim
+    exit, and the escape test alone after an interior rim point: the
+    loop closes once the walk has first escaped the start bracket
+    (beyond two epsilon) and the latest point then returns to within
+    epsilon of a start point.  A walk whose first decision step leaves
+    the domain also closes on its anchor, the pair its first in-domain
+    decision step starts from, in the same way, and, once it has escaped
+    the anchor, at a rim entry on the arclength its first rim episode
+    covered (see the module docstring).  Walks on features too small to
+    escape run until the budget ends.  A budget death or a geometric
+    failure ends the walk with the points found so far.  Returns the
+    termination and, for failed, the failure message.
     """
     domain = budget.domain
     tol = domain.geom_tol
@@ -378,9 +382,10 @@ def decision_boundary_walk(
     hypot = math.hypot
     x_lo, x_hi = domain.x_min - tol, domain.x_max + tol
     y_lo, y_hi = domain.y_min - tol, domain.y_max + tol
+    add_point, add_label = budget.points.append, budget.labels.append
     # the latest inner and outer points, the pair each decision step starts from
-    in_end, out_end = inner[-1], outer[-1]
-    (xi0, yi0), (xo0, yo0) = inner[0], outer[0]
+    in_end, out_end = pair
+    (xi0, yi0), (xo0, yo0) = pair
     steps = 0
     escaped = False
     # a walk whose first decision step leaves the domain starts with a rim
@@ -388,7 +393,7 @@ def decision_boundary_walk(
     # (xai, yai), (xao, yao), where its first in-domain decision step
     # starts, and the arclength its first rim episode covered, first_span
     # counter-clockwise from s_first (negative until that episode ends).
-    # Any other walk's anchor would be (inner[0], outer[0]), the start pair.
+    # Any other walk's anchor would be the start pair.
     seek_anchor = anchored = anchor_escaped = False
     xai = yai = xao = yao = s_first = 0.0
     first_span = -1.0
@@ -450,18 +455,22 @@ def decision_boundary_walk(
                     anchored = True
                     (xai, yai), (xao, yao) = in_end, out_end
             # the one append site: a walk point becomes a Point2 here,
-            # right before its query, and joins the set of its label
+            # right before its query, and joins the log with its label
             x_test = _new_point(Point2, x_test)
             steps += 1
-            if query(x_test) == 1:
-                inner.append(x_test)
-                labels_order.append(1)
+            label = query(x_test)
+            add_point(x_test)
+            add_label(label)
+            if label == 1:
                 in_end = x_test
                 if on_rim:
+                    # a lap that is one long rim episode must escape too
+                    if not escaped:
+                        x, y = x_test
+                        d = min(hypot(x - xi0, y - yi0), hypot(x - xo0, y - yo0))
+                        escaped = d > 2.0 * epsilon
                     continue
             else:
-                outer.append(x_test)
-                labels_order.append(0)
                 out_end = x_test
                 if on_rim:
                     # the rim exit: decision steps resume from here
@@ -495,63 +504,59 @@ def decision_boundary_walk(
         return Termination.FAILED, str(exc)
 
 
-def _seed_search(budget: _Budget, epsilon: float) -> tuple[Point2, Point2]:
-    """Find one point of each label by a deterministic coarse-to-fine scan.
+def seed_scan(domain: Domain, epsilon: float) -> Iterator[Point2]:
+    """The seed scan's probes in order, coarse to fine.
 
-    Queries the corners, then the center, then cell centers of 2^k x 2^k
-    grids of increasing k, stopping as soon as both labels have been seen.
-    Returns the closest opposite-label pair among all points scanned,
-    which are the budget's probes so far.
+    The corners, the center, then the cell centers of 2^k x 2^k grids,
+    k = 1, 2, ..., row by row, while the cells are no finer than epsilon.
+    """
+    yield from domain.corners()
+    yield domain.center
+    n = 2
+    while max(domain.width, domain.height) / n >= epsilon:
+        for j in range(n):
+            y = domain.y_min + (2 * j + 1) * domain.height / (2 * n)
+            for i in range(n):
+                x = domain.x_min + (2 * i + 1) * domain.width / (2 * n)
+                yield Point2(x, y)
+        n *= 2
+
+
+def _seed_search(
+    budget: _Budget, epsilon: float
+) -> tuple[tuple[Point2, Point2], int]:
+    """Find one point of each label by querying `seed_scan` until both are seen.
+
+    Every probe but the last has the first probe's label.  Returns the
+    closest opposite-label pair among them, (inner, outer), and that
+    first label.  The pair is the last probe and the nearest earlier
+    one, ties going to the latest, so the scan is regenerated to find it.
     """
     domain = budget.domain
-    points, labels = budget.probe_points, budget.probe_labels
-    seen = set()
-
-    def probe(p: Point2) -> bool:
-        seen.add(budget.probe(p))
-        return len(seen) == 2
-
+    scan = seed_scan(domain, epsilon)
     try:
-        for p in [*domain.corners(), domain.center]:
-            if probe(p):
+        first = budget.query(next(scan))
+        count = 1
+        for last in scan:
+            count += 1
+            if budget.query(last) != first:
                 break
-        k = 1
-        while len(seen) < 2:
-            n = 2 ** k
-            if max(domain.width, domain.height) / n < epsilon:
-                raise NoBoundaryFoundError(
-                    f"single-label domain down to cells finer than epsilon "
-                    f"({epsilon}); no boundary to trace"
-                )
-            found = False
-            for j in range(n):
-                y = domain.y_min + (2 * j + 1) * domain.height / (2 * n)
-                for i in range(n):
-                    x = domain.x_min + (2 * i + 1) * domain.width / (2 * n)
-                    if probe(Point2(x, y)):
-                        found = True
-                        break
-                if found:
-                    break
-            k += 1
+        else:
+            raise NoBoundaryFoundError(
+                f"single-label domain down to cells finer than epsilon "
+                f"({epsilon}); no boundary to trace"
+            )
     except BudgetExhaustedError as exc:
         raise NoBoundaryFoundError(
             f"seed scan exhausted the query budget after {budget.used} "
             f"queries without seeing both labels"
         ) from exc
-    ins = [p for p, lab in zip(points, labels) if lab == 1]
-    outs = [p for p, lab in zip(points, labels) if lab == 0]
-    best: tuple[Point2, Point2] | None = None
     best_d = math.inf
-    # ties go to the latest pair scanned
-    for pi in ins:
-        for po in outs:
-            d = distance(pi, po)
-            if d <= best_d:
-                best_d = d
-                best = (pi, po)
-    assert best is not None
-    return best
+    for p in islice(seed_scan(domain, epsilon), count - 1):
+        d = distance(p, last)
+        if d <= best_d:
+            best_d, nearest = d, p
+    return ((nearest, last) if first == 1 else (last, nearest)), first
 
 
 def run_edge(c: Classifier, config: EdgeConfig) -> BoundaryEstimate:
@@ -570,25 +575,24 @@ def run_edge(c: Classifier, config: EdgeConfig) -> BoundaryEstimate:
     if config.seed_interior is not None and config.seed_exterior is not None:
         x_in = Point2(*config.seed_interior)
         x_out = Point2(*config.seed_exterior)
-        if budget.probe(x_in) != 1:
-            raise InputError(f"interior seed {x_in} has label 0")
-        if budget.probe(x_out) != 0:
-            raise InputError(f"exterior seed {x_out} has label 1")
+        scan_label = None
+        for name, p, want in (("interior", x_in, 1), ("exterior", x_out, 0)):
+            label = budget.query(p)
+            if label != want:
+                raise InputError(f"{name} seed {p} has label {label}")
+            budget.points.append(p)
+            budget.labels.append(label)
     else:
-        x_in, x_out = _seed_search(budget, epsilon)
+        (x_in, x_out), scan_label = _seed_search(budget, epsilon)
     seed_queries = budget.used
     x_in, x_out = _bisect(budget, x_in, x_out, epsilon)
     bisection_queries = budget.used - seed_queries
-    inner, outer, labels_order = [x_in], [x_out], [1, 0]
-    termination, failure = decision_boundary_walk(
-        budget, inner, outer, labels_order, epsilon
-    )
+    termination, failure = decision_boundary_walk(budget, (x_in, x_out), epsilon)
     return BoundaryEstimate(
-        inner=inner,
-        outer=outer,
-        labels_order=labels_order,
-        probe_points=budget.probe_points,
-        probe_labels=budget.probe_labels,
+        points=budget.points,
+        labels=budget.labels,
+        pair=(x_in, x_out),
+        scan_label=scan_label,
         epsilon=epsilon,
         termination=termination,
         total_queries=budget.used,

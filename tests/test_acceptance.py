@@ -155,19 +155,23 @@ def test_every_walk_point_near_region_outline(bench):
         )
 
 
-def test_circle_walk_is_accurate_and_fully_efficient():
+def test_circle_walk_is_accurate_and_fully_efficient(record_queries):
     eps = 0.05
     c = make_classifier(
         lambda x, y: x * x + y * y, 1.0, Domain(-2.0, 2.0, -2.0, 2.0), "circle"
     )
+    asked = record_queries(c)
     est = run_edge(c, EdgeConfig(epsilon=eps))
     assert est.termination is Termination.CLOSED_LOOP
     for p in est.inner + est.outer:
         assert abs(math.hypot(p.x, p.y) - 1.0) <= eps + 1e-12
-    assert est.walk_points_appended == est.walk_queries, (
-        f"{est.walk_queries} walk queries appended only "
-        f"{est.walk_points_appended} points"
+    # every query after the seeds and the bisection is an estimate point
+    walk_queries = c.query_count - est.seed_queries - est.bisection_queries
+    kept = est.points_in_order()[2:]
+    assert len(kept) == walk_queries, (
+        f"{walk_queries} walk queries kept only {len(kept)} points"
     )
+    assert all(p is q for (p, _), (q, _) in zip(kept, asked[-walk_queries:]))
 
 
 def test_bisection_query_count_follows_halving_law():

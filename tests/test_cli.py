@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from edgewalk import cli
 from edgewalk.classifier import Classifier, make_classifier
 from edgewalk.cli import main
 from edgewalk.geometry import Domain, Point2
-from edgewalk.walk import BoundaryEstimate, Termination
+from edgewalk.walk import BoundaryEstimate, Termination, seed_scan
 
 # two buses, ample generation, no line limits: every injection pair balances
 ALL_FEASIBLE_NET = """
@@ -474,10 +475,13 @@ def test_module_entry_point(tmp_path):
 # --- CSV writers --------------------------------------------------------------
 
 
-def seed_points_csv(estimate) -> str:
-    """points.csv as first written, one f-string per row: the oracle."""
+def seed_points_csv(kept) -> str:
+    """points.csv as first written, one f-string per row: the oracle.
+
+    kept is the bracket pair, then the walk's points, as (point, label).
+    """
     lines = ["x,y,label,order"]
-    for order, (p, label) in enumerate(estimate.points_in_order()):
+    for order, (p, label) in enumerate(kept):
         lines.append(f"{p.x:.17g},{p.y:.17g},{label},{order}")
     return "\n".join(lines) + "\n"
 
@@ -505,62 +509,76 @@ coords = st.one_of(
     st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False)
 )
 points = st.builds(Point2, coords, coords)
+# domains whose scan points take the same special values
+DOMAINS = [
+    Domain(-1.0, 1.0, -1.0, 1.0),
+    Domain(1e16, 1e17, -1e-5, 1e-4),
+    Domain(-1e300, 1e300, 0.0, 5e-324),
+]
+SQUARE = DOMAINS[0]
 
 
-def query_log(estimate):
-    """Every query of the run behind estimate, as (point, label), in order."""
-    probes = list(zip(estimate.probe_points, estimate.probe_labels))
-    return probes + estimate.points_in_order()[2:]
+def make_estimate(pair, before_walk, walk, scan_label=None, n_scan=0, epsilon=0.1):
+    """An estimate whose scan made n_scan probes and whose log is the rest.
 
-
-def make_estimate(probes, kept):
-    """An estimate whose probes and kept points are (point, label) lists."""
-    walk_queries = len(kept) - 2
+    before_walk (the explicit seeds, at least two, when scan_label is
+    None, and the bisection) and walk are (point, label) lists.
+    """
+    log = before_walk + walk
+    seed_queries = 2 if scan_label is None else n_scan
     return BoundaryEstimate(
-        inner=[p for p, label in kept if label == 1],
-        outer=[p for p, label in kept if label == 0],
-        labels_order=[label for _, label in kept],
-        probe_points=[p for p, _ in probes],
-        probe_labels=[label for _, label in probes],
-        epsilon=0.1,
+        points=[p for p, _ in log],
+        labels=bytearray(label for _, label in log),
+        pair=tuple(pair),
+        scan_label=scan_label,
+        epsilon=epsilon,
         termination=Termination.CLOSED_LOOP,
-        total_queries=len(probes) + walk_queries,
-        seed_queries=len(probes),
-        bisection_queries=0,
-        walk_queries=walk_queries,
+        total_queries=n_scan + len(log),
+        seed_queries=seed_queries,
+        bisection_queries=n_scan + len(before_walk) - seed_queries,
+        walk_queries=len(walk),
         failure=None,
     )
 
 
 @st.composite
 def estimates(draw):
-    """An estimate with probes, shaped as run_edge returns one.
+    """(estimate, domain, its queries, its kept points), as run_edge returns one.
 
-    The probes may query one point object twice, and the bracket pair is
-    two of them, or now and then a point never probed.  The walk's points
-    may repeat a probe's object or value, signed zeros, subnormals and
-    the exponent edges of %.17g included.
+    The scan, when there is one, is the start of `seed_scan` over a drawn
+    domain, its last probe labelled apart.  The logged queries may repeat
+    a point object, and the bracket pair is two of the queries, or now
+    and then a point never queried.  The walk's points may repeat a
+    logged object or value, signed zeros, subnormals and the exponent
+    edges of %.17g included.
     """
+    domain = draw(st.sampled_from(DOMAINS))
+    epsilon = max(domain.width, domain.height) / 1024
     labels = st.sampled_from([0, 1])
+    scan_label = draw(st.one_of(st.none(), labels))
+    scan = []
+    if scan_label is not None:
+        probes = list(islice(seed_scan(domain, epsilon), draw(st.integers(2, 40))))
+        scan = [(p, scan_label) for p in probes[:-1]] + [(probes[-1], 1 - scan_label)]
     pool = draw(st.lists(points, min_size=1, max_size=12))
     pool_index = st.integers(0, len(pool) - 1)
-    picks = draw(st.lists(pool_index, min_size=2, max_size=20))
-    probes = [(pool[i], draw(labels)) for i in picks]
-    pair = [
-        draw(st.one_of(points, st.sampled_from([p for p, _ in probes])))
-        for _ in range(2)
-    ]
+    picks = draw(st.lists(pool_index, min_size=2 if scan_label is None else 0, max_size=20))
+    before_walk = [(pool[i], draw(labels)) for i in picks]
+    queried = [p for p, _ in scan + before_walk]
+    pair = [draw(st.one_of(points, st.sampled_from(queried))) for _ in range(2)]
     walk = [
         (draw(st.one_of(points, st.sampled_from(pool))), draw(labels))
         for _ in range(draw(st.integers(0, 30)))
     ]
-    return make_estimate(probes, [(pair[0], 1), (pair[1], 0), *walk])
+    estimate = make_estimate(pair, before_walk, walk, scan_label, len(scan), epsilon)
+    kept = [(pair[0], 1), (pair[1], 0), *walk]
+    return estimate, domain, scan + before_walk + walk, kept
 
 
-def render(estimate, log_queries):
+def render(estimate, domain, log_queries):
     """The points.csv text, and the queries.csv text or None, for estimate."""
     handles = [io.StringIO() for _ in range(1 + log_queries)]
-    cli._write_csvs(estimate, *handles)
+    cli._write_csvs(estimate, domain, *handles)
     texts = [fh.getvalue() for fh in handles]
     return texts[0], texts[1] if log_queries else None
 
@@ -592,19 +610,19 @@ LOGGED_RUNS = {
 class TestCsvWriters:
     @settings(max_examples=400, deadline=None)
     @given(estimates())
-    def test_writers_match_seed_f_strings(self, estimate):
-        points_text, queries_text = render(estimate, log_queries=True)
-        assert queries_text == seed_queries_csv(query_log(estimate))
-        assert points_text == seed_points_csv(estimate)
-        assert render(estimate, log_queries=False) == (points_text, None)
+    def test_writers_match_seed_f_strings(self, drawn):
+        estimate, domain, queries, kept = drawn
+        points_text, queries_text = render(estimate, domain, log_queries=True)
+        assert queries_text == seed_queries_csv(queries)
+        assert points_text == seed_points_csv(kept)
+        assert render(estimate, domain, log_queries=False) == (points_text, None)
 
     def test_signed_zero_keeps_its_own_text(self):
         zero, other = Point2(0.0, 1.0), Point2(2.0, 3.0)
-        probes = [(zero, 1), (other, 0)]
-        estimate = make_estimate(probes, [*probes, (Point2(-0.0, 1.0), 1)])
-        points_text, queries_text = render(estimate, log_queries=True)
+        seeds = [(zero, 1), (other, 0)]
+        estimate = make_estimate((zero, other), seeds, [(Point2(-0.0, 1.0), 1)])
+        points_text, queries_text = render(estimate, SQUARE, log_queries=True)
         assert points_text == "x,y,label,order\n0,1,1,0\n2,3,0,1\n-0,1,1,2\n"
-        assert points_text == seed_points_csv(estimate)
         assert queries_text == "order,x,y,label\n0,0,1,1\n1,2,3,0\n2,-0,1,1\n"
 
     @pytest.mark.parametrize("case", LOGGED_RUNS)
@@ -617,11 +635,12 @@ class TestCsvWriters:
         elif case == "geometric-failure":
             argv = argv + request.getfixturevalue("rim_interior")
         build, run_edge = cli._make_classifier, cli.run_edge
-        log, estimates = record_queries(), []
+        log, classifiers, estimates = record_queries(), [], []
 
         def spy(spec):
             c = build(spec)
             log.watch(c)
+            classifiers.append(c)
             return c
 
         def run_edge_kept(c, config):
@@ -632,17 +651,28 @@ class TestCsvWriters:
         monkeypatch.setattr(cli, "run_edge", run_edge_kept)
         out = tmp_path / "o"
         assert main(["run", *argv, "--log-queries", "--out", str(out)]) == code
-        (estimate,) = estimates
+        (estimate,), (c,) = estimates, classifiers
         assert estimate.walk_queries > 0
         assert len(log) == estimate.total_queries
-        assert query_log(estimate) == log
+        # the scan regenerates, bit for bit, and the log holds the very points
+        assert list(estimate.query_log(c.domain)) == log
+        assert [(p.x.hex(), p.y.hex()) for p, _ in estimate.query_log(c.domain)] == [
+            (p.x.hex(), p.y.hex()) for p, _ in log
+        ]
+        n_scan = 0 if estimate.scan_label is None else estimate.seed_queries
+        assert len(estimate.points) == len(log) - n_scan
+        assert all(p is q for p, (q, _) in zip(estimate.points, log[n_scan:]))
         if case == "clipped-disc":
             assert any(p.x == 1.0 for p in estimate.inner)
         elif case == "budget-death-on-the-rim":
             assert estimate.total_queries == 33
             assert estimate.inner[-1] is log[-1][0] and log[-1][0].x == 1.0
+        inner, outer = estimate.pair
+        walk = log[len(log) - estimate.walk_queries :]
         assert (out / "queries.csv").read_text() == seed_queries_csv(log)
-        assert (out / "points.csv").read_text() == seed_points_csv(estimate)
+        assert (out / "points.csv").read_text() == seed_points_csv(
+            [(inner, 1), (outer, 0), *walk]
+        )
 
 
 class TestFailedWrites:
@@ -654,7 +684,7 @@ class TestFailedWrites:
     @staticmethod
     def _failing_writer(monkeypatch):
         # every file gets a line, then the disk fills
-        def write_csvs(estimate, *handles):
+        def write_csvs(estimate, domain, *handles):
             for fh in handles:
                 fh.write("x,y,label,order\n")
             raise OSError("disk full")

@@ -2,9 +2,10 @@
 
 The geometry builds plain (x, y) tuples, the walk makes a point a Point2
 right before it queries it, and the grid queries plain tuples and keeps
-Point2 transition points.  Each estimate point is therefore the very
-object the oracle was handed, and the estimate's probes and points hold
-every query of the run in order, which `run --log-queries` writes.
+Point2 transition points.  Each point the estimate logs is therefore the
+very object the oracle was handed; the seed scan's probes are
+regenerated, equal bit for bit.  Together they hold every query of the
+run in order, which `run --log-queries` writes.
 """
 
 import pytest
@@ -94,13 +95,22 @@ def test_estimate_holds_every_query_in_order(config, record_queries):
     ending = "budget_exhausted" if config.max_queries else "closed_loop"
     assert est.termination.value == ending
     assert len(log) == est.total_queries
+    n_scan = 0 if est.scan_label is None else est.seed_queries
+    # the log holds every query after the scan, each the very object queried
+    assert len(est.points) == len(est.labels) == len(log) - n_scan
+    assert all(p is q for p, (q, _) in zip(est.points, log[n_scan:]))
+    assert list(est.labels) == [label for _, label in log[n_scan:]]
+    # the scan's probes regenerate equal, bit for bit, with their labels
+    scan = list(est.query_log(c.domain))[:n_scan]
+    assert scan == log[:n_scan]
+    assert all(
+        (p.x.hex(), p.y.hex()) == (q.x.hex(), q.y.hex())
+        for (p, _), (q, _) in zip(scan, log[:n_scan])
+    )
+    # the bracket pair was queried before the walk
     n_pre = est.seed_queries + est.bisection_queries
-    # the probes are the seed and bisection queries themselves, with their labels
-    assert len(est.probe_points) == len(est.probe_labels) == n_pre
-    assert all(p is q for p, (q, _) in zip(est.probe_points, log[:n_pre]))
-    assert est.probe_labels == [label for _, label in log[:n_pre]]
-    assert any(p is est.inner[0] for p in est.probe_points)
-    assert any(p is est.outer[0] for p in est.probe_points)
+    assert est.pair[0] in [p for p, _ in log[:n_pre]]
+    assert est.pair[1] in [p for p, _ in log[:n_pre]]
     # each later query is the next estimate point after the pair itself
     after_pair = est.points_in_order()[2:]
     assert len(after_pair) == len(log) - n_pre > 0

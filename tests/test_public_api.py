@@ -1,8 +1,11 @@
 """The package's public names, pinned.
 
 A change to `edgewalk.__all__` shows in this list, so adding or removing a
-public name is a visible edit, not a side effect.
+public name is a visible edit, not a side effect.  So does a change to
+the fields of `BoundaryEstimate`, the record every run returns.
 """
+
+import dataclasses
 
 import edgewalk
 
@@ -61,3 +64,23 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in edgewalk.__all__:
         assert getattr(edgewalk, name) is not None, name
+
+
+ESTIMATE_FIELDS = [
+    "points",
+    "labels",
+    "pair",
+    "scan_label",
+    "epsilon",
+    "termination",
+    "total_queries",
+    "seed_queries",
+    "bisection_queries",
+    "walk_queries",
+    "failure",
+]
+
+
+def test_estimate_fields_are_pinned():
+    fields = dataclasses.fields(edgewalk.BoundaryEstimate)
+    assert [f.name for f in fields] == ESTIMATE_FIELDS

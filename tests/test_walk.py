@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, given, reject, seed, settings
 from hypothesis import strategies as st
 
 import clipped
-from edgewalk.classifier import make_classifier, make_test_classifier
+from edgewalk.classifier import Classifier, make_classifier, make_test_classifier
 from edgewalk.errors import (
     BudgetExhaustedError,
     InputError,
@@ -17,8 +18,10 @@ from edgewalk.walk import (
     EdgeConfig,
     Termination,
     _Budget,
+    _seed_search,
     decision_boundary_walk,
     run_edge,
+    seed_scan,
 )
 
 UNIT_SQUARE = Domain(0.0, 1.0, 0.0, 1.0)
@@ -138,8 +141,10 @@ class TestUnitCircleWalk:
         assert all(math.hypot(p.x, p.y) >= 1.0 for p in est.outer)
 
     def test_every_walk_query_lands_in_the_estimate(self):
-        est = self.run()
-        assert est.walk_queries == est.walk_points_appended
+        c = unit_circle_classifier()
+        est = run_edge(c, EdgeConfig(epsilon=self.EPS))
+        walk_queries = c.query_count - est.seed_queries - est.bisection_queries
+        assert len(est.inner) + len(est.outer) == 2 + walk_queries
 
     def test_bracket_certificate(self):
         # each appended point is within epsilon of the latest point of the
@@ -220,19 +225,17 @@ def test_domain_walk_raises_after_full_lap():
     # starts never finds an exterior point and goes all the way round
     dom = UNIT_SQUARE
     c = make_classifier(lambda x, y: -1.0, 0.0, dom, "allin")
-    inner = [Point2(0.5, 0.001)]
-    outer = [Point2(0.5, 0.04)]
-    labels = [1, 0]
+    budget = _Budget(c, 1000)
     termination, failure = decision_boundary_walk(
-        _Budget(c, 1000), inner, outer, labels, 0.05
+        budget, (Point2(0.5, 0.001), Point2(0.5, 0.04)), 0.05
     )
     assert termination is Termination.FAILED
     assert failure == (
         "perimeter walk traversed the full domain boundary without "
         "leaving the interior set"
     )
-    assert labels[2:] == [1] * c.query_count
-    on_rim = [p for p in inner if p.x in (0.0, 1.0) or p.y in (0.0, 1.0)]
+    assert list(budget.labels) == [1] * c.query_count
+    on_rim = [p for p in budget.points if p.x in (0.0, 1.0) or p.y in (0.0, 1.0)]
     assert len(on_rim) >= dom.perimeter / 0.05
 
 
@@ -262,13 +265,14 @@ def test_geometric_failure_mid_walk_returns_partial_estimate():
         est.seed_queries + est.bisection_queries + est.walk_queries
         == est.total_queries
     )
-    assert len(est.labels_order) == len(est.inner) + len(est.outer)
     # the partial lap stays in the estimate, every point with its label
+    walk_queries = c.query_count - est.seed_queries - est.bisection_queries
+    assert len(est.inner) + len(est.outer) == 2 + walk_queries
     on_rim = [p for p in est.inner if p.x in (0.0, 1.0) or p.y in (0.0, 1.0)]
     assert len(on_rim) >= 0.9 * UNIT_SQUARE.perimeter / 0.05
     assert all(c.label_fn(p) == 1 for p in est.inner)
     assert all(c.label_fn(p) == 0 for p in est.outer)
-    assert est.walk_points_appended > len(on_rim)
+    assert walk_queries > len(on_rim)
     assert run_edge(rim_interior_half_plane(), cfg).points_in_order() == (
         est.points_in_order()
     )
@@ -278,6 +282,77 @@ def test_single_label_domain_reports_no_boundary():
     c = make_classifier(lambda x, y: 1.0, 0.5, UNIT_SQUARE, "allout")
     with pytest.raises(NoBoundaryFoundError):
         run_edge(c, EdgeConfig(epsilon=0.1))
+
+
+def all_pairs_bracket(probes, labels):
+    """The closest opposite-label pair, (inner, outer), by brute force.
+
+    Every interior probe against every exterior probe, in scan order;
+    ties go to the latest pair.
+    """
+    best, best_d = None, math.inf
+    for p_in in [p for p, label in zip(probes, labels) if label == 1]:
+        for p_out in [p for p, label in zip(probes, labels) if label == 0]:
+            d = distance(p_in, p_out)
+            if d <= best_d:
+                best, best_d = (p_in, p_out), d
+    return best
+
+
+@pytest.mark.parametrize(
+    "domain", [Domain(-1.0, 1.0, -1.0, 1.0), Domain(0.0, 3.0, 0.0, 1.0)]
+)
+def test_seed_search_bracket_matches_all_pairs_search(domain):
+    # the scan ends at its first probe of the other label; on these grids
+    # several earlier probes lie at the same distance from it: 38 of the
+    # square's 89 ends and 7 of the rectangle's
+    eps = 0.2
+    scan = list(seed_scan(domain, eps))
+    ties = 0
+    for count in range(2, len(scan) + 1):
+        last = scan[count - 1]
+        nearest = min(distance(p, last) for p in scan[: count - 1])
+        ties += sum(distance(p, last) == nearest for p in scan[: count - 1]) > 1
+        for first in (0, 1):
+            c = Classifier(lambda p: 1 - first if p == last else first, domain)
+            labels = [first] * (count - 1) + [1 - first]
+            pair, scan_label = _seed_search(_Budget(c, len(scan)), eps)
+            assert c.query_count == count
+            assert scan_label == first
+            assert pair == all_pairs_bracket(scan[:count], labels)
+    assert ties >= 7
+
+
+def discs_kept_memory():
+    """(estimate, bytes it keeps) for a disc of radius 0.004 and one of 0.3.
+
+    The small disc's seed scan makes 11,953 of its 12,010 queries; the
+    large disc's scan makes 16 of 4,176.
+    """
+    out = []
+    for r in (0.004, 0.3):
+        c = make_classifier(
+            lambda x, y: (x - 0.37) ** 2 + (y + 0.21) ** 2, r * r, SQUARE
+        )
+        tracemalloc.start()
+        try:
+            est = run_edge(c, EdgeConfig(epsilon=0.001))
+            assert len(est.inner) + len(est.outer) > 2
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        out.append((est, kept))
+    return out
+
+
+def test_kept_memory_grows_with_the_log_not_the_scan():
+    (small, small_kept), (large, large_kept) = discs_kept_memory()
+    assert small.seed_queries == 11_953
+    assert small.seed_queries > 100 * large.seed_queries
+    assert small_kept < 64 * 1024
+    # a logged point costs about 120 bytes, inner and outer included
+    for est, kept in [(small, small_kept), (large, large_kept)]:
+        assert kept < 4096 + 160 * len(est.points)
 
 
 def test_budget_death_in_walk_returns_partial_estimate(record_queries):
@@ -561,10 +636,11 @@ def wide_clipped_shapes(draw):
     return shape, eps
 
 
-# derandomized: the vertex bound below is empirical (the largest gap seen
-# in 2,400 random clipped walks was 0.967 of it), so a run must not turn on
-# the draw
-@settings(max_examples=200, deadline=None, derandomize=True)
+# a fixed seed and no example database: the vertex bound below is
+# empirical (the largest gap seen in 2,400 random clipped walks was 0.967
+# of it), so a run must not turn on the draw, nor on an edit to this file
+@seed(271828)
+@settings(max_examples=200, deadline=None, database=None)
 @given(wide_clipped_shapes())
 def test_walk_on_a_wide_clipped_shape_closes_in_one_lap(shape_eps):
     shape, eps = shape_eps
@@ -631,14 +707,12 @@ def test_walk_round_a_tight_turn_closes_after_about_one_lap(shape, eps):
     assert 0.9 <= clipped.laps(points, shape) <= 1.2
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="FOUND in CHANGES.md: about three laps round a small outside corner",
-)
 def test_walk_round_a_small_outside_corner_closes_in_one_lap():
     # -0.5690388566665372 x - 0.8223106344950429 y < 1.2251180638511179:
-    # the outside is a corner triangle with legs of 1.2 and 1.75 epsilon;
-    # the walk closes after 2.94 laps, 142 walk queries
+    # the outside is a corner triangle with legs of 1.2 and 1.75 epsilon,
+    # so a lap is one long rim episode; without the escape test on its
+    # interior rim points the walk closed after 2.94 laps, 142 walk
+    # queries; with it, after 0.97 laps, 46 walk queries
     shape = clipped.halfplane(-2.176132876238634, 0.8805250381974966)
     est, points = _walk_clipped(shape, 0.166)
     assert est.termination is Termination.CLOSED_LOOP

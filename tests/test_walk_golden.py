@@ -23,10 +23,10 @@ from edgewalk.geometry import Domain, Point2
 from edgewalk.walk import EdgeConfig, Termination, run_edge
 
 
-def _points_csv(est):
+def _points_csv(est, domain):
     """The points.csv text `edgewalk run` writes for est."""
     buf = io.StringIO()
-    _write_csvs(est, buf)
+    _write_csvs(est, domain, buf)
     return buf.getvalue()
 
 
@@ -136,7 +136,7 @@ def test_points_csv_is_unchanged(build, termination, queries, digest):
     est = run_edge(classifier, config)
     assert est.termination is termination
     assert est.total_queries == queries
-    text = _points_csv(est)
+    text = _points_csv(est, classifier.domain)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -191,7 +191,7 @@ def _outcome(classifier, config):
         f"{est.termination.value},{est.total_queries},{est.seed_queries},"
         f"{est.bisection_queries},{est.walk_queries}\n"
     )
-    return head + _points_csv(est)
+    return head + _points_csv(est, classifier.domain)
 
 
 def test_random_shape_batch_is_unchanged():
