@@ -33,7 +33,7 @@ def main():
     print(f"walk yield:     {efficiency:.0%} of walk queries became estimate points")
 
     head = est.points_in_order()[:5]
-    print("first points:  ", ", ".join(f"({p.x:+.3f},{p.y:+.3f})[{l}]" for p, l in head))
+    print("first points:  ", ", ".join(f"({x:+.3f},{y:+.3f})[{l}]" for (x, y), l in head))
 
 
 if __name__ == "__main__":

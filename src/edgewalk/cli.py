@@ -178,6 +178,11 @@ def _cmd_run(args) -> int:
         csvs.append(out / "queries.csv")
     with _replacing(*csvs) as handles:
         _write_csvs(estimate, classifier.domain, *handles)
+    # the bracket pair plus the walk's points of each label, counted from
+    # the labels so that no Point2 is built just to be counted
+    walk_start = len(estimate.labels) - estimate.walk_queries
+    n_inner = 1 + estimate.labels.count(1, walk_start)
+    n_outer = 2 + estimate.walk_queries - n_inner
     report = {
         "classifier": classifier.name,
         "epsilon": args.epsilon,
@@ -186,8 +191,8 @@ def _cmd_run(args) -> int:
         "seed_queries": estimate.seed_queries,
         "bisection_queries": estimate.bisection_queries,
         "walk_queries": estimate.walk_queries,
-        "inner_points": len(estimate.inner),
-        "outer_points": len(estimate.outer),
+        "inner_points": n_inner,
+        "outer_points": n_outer,
         "wall_seconds": wall,
     }
 
@@ -215,7 +220,7 @@ def _cmd_run(args) -> int:
     print(
         f"{classifier.name}: {estimate.termination.value} after "
         f"{estimate.total_queries} queries "
-        f"({len(estimate.inner)} inner, {len(estimate.outer)} outer) "
+        f"({n_inner} inner, {n_outer} outer) "
         f"-> {out / 'points.csv'}"
     )
     if estimate.termination is Termination.BUDGET_EXHAUSTED:

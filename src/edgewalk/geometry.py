@@ -22,10 +22,14 @@ each builds only the points it returns.
 
 Point contract: the step functions and `midpoint` take any (x, y) pair and
 return plain `(x, y)` tuples.  Most of the points they build are thrown
-away at once, and a plain tuple is cheaper to build than a `Point2`.  A
-point becomes a `Point2` only when it is kept: the walk converts a point
-right before it queries it, and the grid queries plain tuples and builds
-a `Point2` only for the points its estimate keeps.
+away at once, and a plain tuple is cheaper to build than a `Point2`.  It
+is also cheaper to keep: the cyclic GC stops tracking a tuple of floats,
+but never a `Point2`, a tuple subclass, so every `Point2` kept is
+traversed again in each full collection.  The walk queries the plain
+tuples, and its estimate packs the points it logs into one float array,
+building `Point2`s only when `inner` or `outer` is asked for; the grid
+queries plain tuples and builds a `Point2` only for the points its
+estimate keeps.
 """
 
 from __future__ import annotations

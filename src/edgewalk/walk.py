@@ -75,14 +75,21 @@ with termination `budget_exhausted` or `failed` and keeps the partial
 estimate.
 
 Point contract: the geometry builds every candidate point, rim hit and
-bisection midpoint as a plain `(x, y)` tuple; the bisection and the
-walk's one append site make a point a `Point2` once, right before they
-query it.  The run logs every query after the seed scan, in order and
-with its label: the explicit seeds, the bisection midpoints, then each
-walk point, decision or rim, each the very object the oracle was handed;
-a budget death raises before its query reaches the oracle.  The scan's
-probes are the first `seed_queries` points of `seed_scan`, all with one
-label but the last, so the estimate keeps only that label, and
+bisection midpoint as a plain `(x, y)` tuple, and the run queries that
+tuple as it is.  The run logs every query after the seed scan, in order
+and with its label: the explicit seeds, the bisection midpoints, then
+each walk point, decision or rim; a budget death raises before its query
+reaches the oracle.  While the run lasts the log is a list of the
+queried tuples; `run_edge` then packs it once into
+`BoundaryEstimate.xy`, one `array('d')` of interleaved x and y beside
+the `labels` bytearray.  A finished estimate thus holds no Python object
+per query, 17 bytes a point with its label, and nothing the cyclic GC
+has to traverse.  A `Point2` is a tuple subclass, which the GC never
+untracks, so a log of them would be traversed in every full collection
+for as long as the estimate lives.  `inner` and `outer` are the one
+place this module builds a `Point2`, on first use.  The scan's probes
+are the first `seed_queries` points of `seed_scan`, all with one label
+but the last, so the estimate keeps only that label, and
 `BoundaryEstimate.query_log` regenerates them.  So the estimate holds
 every query of a run in memory that grows with the boundary, not with
 the scan, and `edgewalk run --log-queries` writes points.csv and
@@ -92,11 +99,12 @@ queries.csv from it in one pass, formatting each walk point once.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 from .classifier import Classifier
 from .errors import (
@@ -122,6 +130,12 @@ from .geometry import (
 # Point2(x, y) runs a Python-level __new__; this builds the same Point2
 # from an (x, y) tuple in C, in about half the time
 _new_point = tuple.__new__
+
+
+def _pairs(coords) -> Iterator[XY]:
+    """The (x, y) tuples of an iterable of interleaved coordinates."""
+    it = iter(coords)
+    return zip(it, it)
 
 
 class Termination(str, Enum):
@@ -225,17 +239,21 @@ class EdgeConfig:
 class BoundaryEstimate:
     """Ordered boundary localization produced by a run.
 
-    points and labels log every query after the seed scan in order: the
+    xy and labels log every query after the seed scan in order: the
     explicit seeds, the bisection midpoints, then walk_queries walk
-    points.  The walk starts from pair, the bracket (inner, outer).  A
-    scan keeps only scan_label, the label of all its probes but the last
-    (None with explicit seeds).  inner and outer are built on first use.
-    A walk that ends in a geometric failure keeps its message in failure.
+    points.  xy packs their coordinates, x then y for each query, so a
+    finished estimate holds no object per point for the cyclic GC to
+    traverse; the readers below yield (x, y) tuples from it.  The walk
+    starts from pair, the bracket (inner, outer).  A scan keeps only
+    scan_label, the label of all its probes but the last (None with
+    explicit seeds).  inner and outer, lists of Point2, are built on
+    first use.  A walk that ends in a geometric failure keeps its message
+    in failure.
     """
 
-    points: list[Point2]
+    xy: array
     labels: bytearray
-    pair: tuple[Point2, Point2]
+    pair: tuple[XY, XY]
     scan_label: int | None
     epsilon: float
     termination: Termination
@@ -245,30 +263,38 @@ class BoundaryEstimate:
     walk_queries: int
     failure: str | None
 
-    def walk_log(self) -> Iterator[tuple[Point2, int]]:
+    def walk_log(self) -> Iterator[tuple[XY, int]]:
         """The walk's points as (point, label), in query order."""
-        start = len(self.points) - self.walk_queries
-        return zip(islice(self.points, start, None), islice(self.labels, start, None))
+        start = len(self.labels) - self.walk_queries
+        return zip(
+            _pairs(islice(self.xy, 2 * start, None)),
+            islice(self.labels, start, None),
+        )
+
+    def _side(self, label: int) -> list[Point2]:
+        """The bracket point, then the walk's points, of one label, as Point2."""
+        walk = (p for p, lab in self.walk_log() if lab == label)
+        return [_new_point(Point2, p) for p in chain((self.pair[1 - label],), walk)]
 
     @cached_property
     def inner(self) -> list[Point2]:
-        return [self.pair[0], *(p for p, label in self.walk_log() if label == 1)]
+        return self._side(1)
 
     @cached_property
     def outer(self) -> list[Point2]:
-        return [self.pair[1], *(p for p, label in self.walk_log() if label == 0)]
+        return self._side(0)
 
-    def points_in_order(self) -> list[tuple[Point2, int]]:
+    def points_in_order(self) -> list[tuple[XY, int]]:
         """The pair, then the walk's points, as (point, label), in append order."""
         return [(self.pair[0], 1), (self.pair[1], 0), *self.walk_log()]
 
-    def query_log(self, domain: Domain) -> Iterator[tuple[Point2, int]]:
+    def query_log(self, domain: Domain) -> Iterator[tuple[XY, int]]:
         """Every query of the run over domain, as (point, label), in order."""
         if self.scan_label is not None:
             scan = seed_scan(domain, self.epsilon)
             yield from zip(islice(scan, self.seed_queries - 1), repeat(self.scan_label))
             yield next(scan), 1 - self.scan_label
-        yield from zip(self.points, self.labels)
+        yield from zip(_pairs(self.xy), self.labels)
 
 
 class _Budget:
@@ -276,8 +302,9 @@ class _Budget:
 
     run_edge builds one per run and passes it to every step, which reads
     the domain from it and queries only through it.  Every step but the
-    seed scan appends each point it queries, and its label, to the log,
-    points and labels.
+    seed scan appends each point it queries, the plain (x, y) tuple, and
+    its label to the log, points and labels; run_edge packs points into
+    the estimate's xy once the run ends.
     """
 
     def __init__(self, classifier: Classifier, max_queries: int):
@@ -286,14 +313,14 @@ class _Budget:
         self.max_queries = max_queries
         self.start = classifier.query_count
         self.limit = self.start + max_queries
-        self.points: list[Point2] = []
+        self.points: list[XY] = []
         self.labels = bytearray()
 
     @property
     def used(self) -> int:
         return self.classifier.query_count - self.start
 
-    def query(self, p: Point2) -> int:
+    def query(self, p: XY) -> int:
         if self.classifier.query_count >= self.limit:
             raise BudgetExhaustedError(
                 f"query budget of {self.max_queries} exhausted"
@@ -302,8 +329,8 @@ class _Budget:
 
 
 def _bisect(
-    budget: _Budget, x_in: Point2, x_out: Point2, epsilon: float
-) -> tuple[Point2, Point2]:
+    budget: _Budget, x_in: XY, x_out: XY, epsilon: float
+) -> tuple[XY, XY]:
     """Shrink an opposite-label pair until the endpoints are within epsilon.
 
     The caller vouches for the seed labels (they are not re-queried here)
@@ -313,7 +340,7 @@ def _bisect(
     Returns the refined (inner, outer) pair.
     """
     while distance(x_in, x_out) >= epsilon:
-        m = _new_point(Point2, midpoint(x_in, x_out))
+        m = midpoint(x_in, x_out)
         label = budget.query(m)
         budget.points.append(m)
         budget.labels.append(label)
@@ -325,7 +352,7 @@ def _bisect(
 
 
 def _rim_entry(
-    domain: Domain, in_end: Point2, out_end: Point2, epsilon: float
+    domain: Domain, in_end: XY, out_end: XY, epsilon: float
 ) -> tuple[XY, float]:
     """Where a rim episode starts: (point, arclength).
 
@@ -341,7 +368,7 @@ def _rim_entry(
 
 
 def decision_boundary_walk(
-    budget: _Budget, pair: tuple[Point2, Point2], epsilon: float
+    budget: _Budget, pair: tuple[XY, XY], epsilon: float
 ) -> tuple[Termination, str | None]:
     """Trace the boundary in epsilon steps from a tightened bracket.
 
@@ -454,9 +481,8 @@ def decision_boundary_walk(
                     seek_anchor = False
                     anchored = True
                     (xai, yai), (xao, yao) = in_end, out_end
-            # the one append site: a walk point becomes a Point2 here,
-            # right before its query, and joins the log with its label
-            x_test = _new_point(Point2, x_test)
+            # the one append site: the plain tuple the geometry built is
+            # queried and joins the log with its label
             steps += 1
             label = query(x_test)
             add_point(x_test)
@@ -504,11 +530,13 @@ def decision_boundary_walk(
         return Termination.FAILED, str(exc)
 
 
-def seed_scan(domain: Domain, epsilon: float) -> Iterator[Point2]:
+def seed_scan(domain: Domain, epsilon: float) -> Iterator[XY]:
     """The seed scan's probes in order, coarse to fine.
 
     The corners, the center, then the cell centers of 2^k x 2^k grids,
     k = 1, 2, ..., row by row, while the cells are no finer than epsilon.
+    The corners and the center are the domain's Point2s; the cell centers
+    are plain (x, y) tuples.
     """
     yield from domain.corners()
     yield domain.center
@@ -518,13 +546,13 @@ def seed_scan(domain: Domain, epsilon: float) -> Iterator[Point2]:
             y = domain.y_min + (2 * j + 1) * domain.height / (2 * n)
             for i in range(n):
                 x = domain.x_min + (2 * i + 1) * domain.width / (2 * n)
-                yield Point2(x, y)
+                yield (x, y)
         n *= 2
 
 
 def _seed_search(
     budget: _Budget, epsilon: float
-) -> tuple[tuple[Point2, Point2], int]:
+) -> tuple[tuple[XY, XY], int]:
     """Find one point of each label by querying `seed_scan` until both are seen.
 
     Every probe but the last has the first probe's label.  Returns the
@@ -573,8 +601,8 @@ def run_edge(c: Classifier, config: EdgeConfig) -> BoundaryEstimate:
     epsilon = config.epsilon
     budget = _Budget(c, config.budget_for(c.domain))
     if config.seed_interior is not None and config.seed_exterior is not None:
-        x_in = Point2(*config.seed_interior)
-        x_out = Point2(*config.seed_exterior)
+        x_in = tuple(map(float, config.seed_interior))
+        x_out = tuple(map(float, config.seed_exterior))
         scan_label = None
         for name, p, want in (("interior", x_in, 1), ("exterior", x_out, 0)):
             label = budget.query(p)
@@ -589,7 +617,7 @@ def run_edge(c: Classifier, config: EdgeConfig) -> BoundaryEstimate:
     bisection_queries = budget.used - seed_queries
     termination, failure = decision_boundary_walk(budget, (x_in, x_out), epsilon)
     return BoundaryEstimate(
-        points=budget.points,
+        xy=array("d", chain.from_iterable(budget.points)),
         labels=budget.labels,
         pair=(x_in, x_out),
         scan_label=scan_label,

@@ -49,6 +49,22 @@ class QueryLog(Sequence):
         return list(self) == other
 
 
+def _bits(log) -> list[tuple[str, str, int]]:
+    """Each (point, label) of log as (x.hex(), y.hex(), label), in order."""
+    return [(p[0].hex(), p[1].hex(), label) for p, label in log]
+
+
+@pytest.fixture
+def bits():
+    """bits(log): a log of (point, label) pairs in a form equal only bit for bit.
+
+    Two logs give equal lists only if they hold the same points in the
+    same order, each coordinate the same float down to its sign and last
+    bit, with the same labels.
+    """
+    return _bits
+
+
 @pytest.fixture
 def record_queries():
     """Spy on a classifier: record_queries(c) returns the QueryLog of c's queries.

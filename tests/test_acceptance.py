@@ -155,7 +155,7 @@ def test_every_walk_point_near_region_outline(bench):
         )
 
 
-def test_circle_walk_is_accurate_and_fully_efficient(record_queries):
+def test_circle_walk_is_accurate_and_fully_efficient(record_queries, bits):
     eps = 0.05
     c = make_classifier(
         lambda x, y: x * x + y * y, 1.0, Domain(-2.0, 2.0, -2.0, 2.0), "circle"
@@ -171,7 +171,7 @@ def test_circle_walk_is_accurate_and_fully_efficient(record_queries):
     assert len(kept) == walk_queries, (
         f"{walk_queries} walk queries kept only {len(kept)} points"
     )
-    assert all(p is q for (p, _), (q, _) in zip(kept, asked[-walk_queries:]))
+    assert bits(kept) == bits(asked[-walk_queries:])
 
 
 def test_bisection_query_count_follows_halving_law():

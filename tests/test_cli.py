@@ -8,7 +8,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from itertools import islice
+from array import array
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
@@ -77,7 +78,8 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert report["classifier"] == "rosenbrock"
         assert report["termination"] == "closed_loop"
-        assert report["inner_points"] + report["outer_points"] == len(rows)
+        assert report["inner_points"] == sum(r["label"] == "1" for r in rows)
+        assert report["outer_points"] == sum(r["label"] == "0" for r in rows)
         assert report["total_queries"] >= len(rows)
         assert report["wall_seconds"] > 0.0
 
@@ -482,7 +484,7 @@ def seed_points_csv(kept) -> str:
     """
     lines = ["x,y,label,order"]
     for order, (p, label) in enumerate(kept):
-        lines.append(f"{p.x:.17g},{p.y:.17g},{label},{order}")
+        lines.append(f"{p[0]:.17g},{p[1]:.17g},{label},{order}")
     return "\n".join(lines) + "\n"
 
 
@@ -490,7 +492,7 @@ def seed_queries_csv(log) -> str:
     """queries.csv as first written, one f-string per row: the oracle."""
     lines = ["order,x,y,label"]
     for order, (p, label) in enumerate(log):
-        lines.append(f"{order},{p.x:.17g},{p.y:.17g},{label}")
+        lines.append(f"{order},{p[0]:.17g},{p[1]:.17g},{label}")
     return "\n".join(lines) + "\n"
 
 
@@ -527,7 +529,7 @@ def make_estimate(pair, before_walk, walk, scan_label=None, n_scan=0, epsilon=0.
     log = before_walk + walk
     seed_queries = 2 if scan_label is None else n_scan
     return BoundaryEstimate(
-        points=[p for p, _ in log],
+        xy=array("d", chain.from_iterable(p for p, _ in log)),
         labels=bytearray(label for _, label in log),
         pair=tuple(pair),
         scan_label=scan_label,
@@ -627,7 +629,7 @@ class TestCsvWriters:
 
     @pytest.mark.parametrize("case", LOGGED_RUNS)
     def test_logged_runs_match_seed_f_strings(
-        self, request, tmp_path, monkeypatch, record_queries, case
+        self, request, tmp_path, monkeypatch, record_queries, bits, case
     ):
         argv, code = LOGGED_RUNS[case]
         if argv[0] == "disc":
@@ -654,19 +656,17 @@ class TestCsvWriters:
         (estimate,), (c,) = estimates, classifiers
         assert estimate.walk_queries > 0
         assert len(log) == estimate.total_queries
-        # the scan regenerates, bit for bit, and the log holds the very points
-        assert list(estimate.query_log(c.domain)) == log
-        assert [(p.x.hex(), p.y.hex()) for p, _ in estimate.query_log(c.domain)] == [
-            (p.x.hex(), p.y.hex()) for p, _ in log
-        ]
+        # the scan regenerates, and the packed log gives back every later
+        # query: each point and label, bit for bit
+        assert bits(estimate.query_log(c.domain)) == bits(log)
         n_scan = 0 if estimate.scan_label is None else estimate.seed_queries
-        assert len(estimate.points) == len(log) - n_scan
-        assert all(p is q for p, (q, _) in zip(estimate.points, log[n_scan:]))
+        assert len(estimate.xy) == 2 * (len(log) - n_scan)
         if case == "clipped-disc":
             assert any(p.x == 1.0 for p in estimate.inner)
         elif case == "budget-death-on-the-rim":
             assert estimate.total_queries == 33
-            assert estimate.inner[-1] is log[-1][0] and log[-1][0].x == 1.0
+            assert bits([(estimate.inner[-1], 1)]) == bits(log[-1:])
+            assert log[-1][0][0] == 1.0
         inner, outer = estimate.pair
         walk = log[len(log) - estimate.walk_queries :]
         assert (out / "queries.csv").read_text() == seed_queries_csv(log)

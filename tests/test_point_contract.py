@@ -1,12 +1,17 @@
-"""Which points are Point2: the ones an estimate keeps.
+"""Which points are Point2: only the ones inner and outer hand out.
 
-The geometry builds plain (x, y) tuples, the walk makes a point a Point2
-right before it queries it, and the grid queries plain tuples and keeps
-Point2 transition points.  Each point the estimate logs is therefore the
-very object the oracle was handed; the seed scan's probes are
-regenerated, equal bit for bit.  Together they hold every query of the
-run in order, which `run --log-queries` writes.
+The geometry builds plain (x, y) tuples, and the run queries them as
+they are.  A finished estimate packs every query after the seed scan
+into one float array, xy, beside its labels, so it holds no Python
+object per point for the cyclic GC to traverse; inner and outer build
+Point2 lists from it on first use.  The grid queries plain tuples and
+keeps Point2 transition points.  Each logged point therefore equals the
+point the oracle was handed bit for bit, and the seed scan's probes
+regenerate the same way.  Together they hold every query of the run in
+order, which `run --log-queries` writes.
 """
+
+from array import array
 
 import pytest
 
@@ -47,10 +52,15 @@ def test_every_estimate_point_is_a_point2(seeds, record_queries):
     est = run_edge(c, EdgeConfig(epsilon=0.1, **seeds))
     assert est.termination.value == "closed_loop"
     assert est.bisection_queries > 0
+    # the finished estimate packs its log and builds inner and outer on use
+    assert type(est.xy) is array and est.xy.typecode == "d"
+    assert "inner" not in vars(est) and "outer" not in vars(est)
     assert any(on_rim(p) for p in est.inner)
     assert all(type(p) is Point2 for p in est.inner + est.outer)
-    # the walk hands the oracle the Point2 it then keeps
-    assert all(type(p) is Point2 for p, _ in log)
+    # the seeds, the bisection and the walk hand the oracle plain tuples
+    n_scan = 0 if est.scan_label is None else est.seed_queries
+    assert len(log) - n_scan > est.walk_queries > 0
+    assert all(type(p) is tuple for p, _ in log[n_scan:])
 
 
 def test_geometry_returns_plain_tuples():
@@ -88,7 +98,7 @@ def test_grid_queries_plain_tuples_and_keeps_point2(record_queries):
     ],
     ids=["seed-scan", "explicit-seeds", "budget-death-on-the-rim"],
 )
-def test_estimate_holds_every_query_in_order(config, record_queries):
+def test_estimate_holds_every_query_in_order(config, record_queries, bits):
     c = clipped_disc()
     log = record_queries(c)
     est = run_edge(c, config)
@@ -96,25 +106,15 @@ def test_estimate_holds_every_query_in_order(config, record_queries):
     assert est.termination.value == ending
     assert len(log) == est.total_queries
     n_scan = 0 if est.scan_label is None else est.seed_queries
-    # the log holds every query after the scan, each the very object queried
-    assert len(est.points) == len(est.labels) == len(log) - n_scan
-    assert all(p is q for p, (q, _) in zip(est.points, log[n_scan:]))
-    assert list(est.labels) == [label for _, label in log[n_scan:]]
-    # the scan's probes regenerate equal, bit for bit, with their labels
-    scan = list(est.query_log(c.domain))[:n_scan]
-    assert scan == log[:n_scan]
-    assert all(
-        (p.x.hex(), p.y.hex()) == (q.x.hex(), q.y.hex())
-        for (p, _), (q, _) in zip(scan, log[:n_scan])
-    )
+    # the log packs every query after the scan, and query_log gives them
+    # back after the regenerated scan: every point and label, bit for bit
+    assert len(est.xy) == 2 * len(est.labels) == 2 * (len(log) - n_scan)
+    assert bits(est.query_log(c.domain)) == bits(log)
     # the bracket pair was queried before the walk
     n_pre = est.seed_queries + est.bisection_queries
     assert est.pair[0] in [p for p, _ in log[:n_pre]]
     assert est.pair[1] in [p for p, _ in log[:n_pre]]
-    # each later query is the next estimate point after the pair itself
+    # each later query is the next estimate point after the pair, bit for bit
     after_pair = est.points_in_order()[2:]
     assert len(after_pair) == len(log) - n_pre > 0
-    assert all(
-        p is q and label == raw
-        for (p, label), (q, raw) in zip(after_pair, log[n_pre:])
-    )
+    assert bits(after_pair) == bits(log[n_pre:])

@@ -67,7 +67,7 @@ def test_every_public_name_resolves():
 
 
 ESTIMATE_FIELDS = [
-    "points",
+    "xy",
     "labels",
     "pair",
     "scan_label",

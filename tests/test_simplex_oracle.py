@@ -195,7 +195,7 @@ def test_study_queries_match_seed_solver(record_queries):
     assert est.termination is Termination.CLOSED_LOOP
     assert len(log) == 281
     for p, label in log:
-        assert assert_same_label((p.x, p.y)) == bool(label)
+        assert assert_same_label((p[0], p[1])) == bool(label)
 
 
 def test_slot_grid_matches_seed_solver():

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -57,13 +58,13 @@ class TestBisect:
         est = bisect_only(c, Point2(0.0, 0.0), Point2(1.0, 0.0), 0.1, 4)
         assert est.termination is Termination.BUDGET_EXHAUSTED
         assert est.bisection_queries == 4
-        assert [(p.x, label) for p, label in asked[2:]] == [
+        assert [(p[0], label) for p, label in asked[2:]] == [
             (0.5, 1),
             (0.75, 0),
             (0.625, 1),
             (0.6875, 1),
         ]
-        assert all(p.y == 0.0 for p, _ in asked)
+        assert all(p[1] == 0.0 for p, _ in asked)
         assert est.inner[0] == Point2(0.6875, 0.0)
         assert est.outer[0] == Point2(0.75, 0.0)
         assert distance(est.inner[0], est.outer[0]) == pytest.approx(0.0625)
@@ -235,7 +236,7 @@ def test_domain_walk_raises_after_full_lap():
         "leaving the interior set"
     )
     assert list(budget.labels) == [1] * c.query_count
-    on_rim = [p for p in budget.points if p.x in (0.0, 1.0) or p.y in (0.0, 1.0)]
+    on_rim = [p for p in budget.points if p[0] in (0.0, 1.0) or p[1] in (0.0, 1.0)]
     assert len(on_rim) >= dom.perimeter / 0.05
 
 
@@ -324,10 +325,11 @@ def test_seed_search_bracket_matches_all_pairs_search(domain):
 
 
 def discs_kept_memory():
-    """(estimate, bytes it keeps) for a disc of radius 0.004 and one of 0.3.
+    """(estimate, bytes it keeps, bytes with inner and outer built) per disc.
 
-    The small disc's seed scan makes 11,953 of its 12,010 queries; the
-    large disc's scan makes 16 of 4,176.
+    The discs have radius 0.004 and 0.3.  The small disc's seed scan
+    makes 11,953 of its 12,010 queries; the large disc's scan makes 16 of
+    4,176.
     """
     out = []
     for r in (0.004, 0.3):
@@ -337,25 +339,59 @@ def discs_kept_memory():
         tracemalloc.start()
         try:
             est = run_edge(c, EdgeConfig(epsilon=0.001))
-            assert len(est.inner) + len(est.outer) > 2
+            # a full collection empties CPython's free lists, whose spare
+            # (x, y) tuples left over from the walk would count as kept
+            gc.collect()
             kept = tracemalloc.get_traced_memory()[0]
+            assert len(est.inner) + len(est.outer) > 2
+            with_sides = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        out.append((est, kept))
+        out.append((est, kept, with_sides))
     return out
 
 
 def test_kept_memory_grows_with_the_log_not_the_scan():
-    (small, small_kept), (large, large_kept) = discs_kept_memory()
+    discs = discs_kept_memory()
+    (small, small_kept, _), (large, _, _) = discs
     assert small.seed_queries == 11_953
     assert small.seed_queries > 100 * large.seed_queries
     assert small_kept < 64 * 1024
-    # a logged point costs about 120 bytes, inner and outer included
-    for est, kept in [(small, small_kept), (large, large_kept)]:
-        assert kept < 4096 + 160 * len(est.points)
+    # a logged point costs about 17 bytes packed, and about 120 more once
+    # inner and outer hold it as a Point2
+    for est, kept, with_sides in discs:
+        assert kept < 4096 + 24 * len(est.labels)
+        assert with_sides < 4096 + 160 * len(est.labels)
 
 
-def test_budget_death_in_walk_returns_partial_estimate(record_queries):
+def tracked_objects_kept(epsilon):
+    """(estimate, GC-tracked objects added) by a unit-circle run at epsilon."""
+    c = unit_circle_classifier()
+    gc.collect()
+    before = len(gc.get_objects())
+    est = run_edge(c, EdgeConfig(epsilon=epsilon))
+    gc.collect()
+    return est, len(gc.get_objects()) - before
+
+
+def test_finished_estimate_adds_constant_gc_tracked_objects():
+    # the packed log holds no object per point, so a full collection has
+    # as much to traverse after a 20,000-query walk as after a 200-query
+    # one, until inner and outer are built
+    tracked_objects_kept(0.07)
+    short, short_added = tracked_objects_kept(0.07)
+    long, long_added = tracked_objects_kept(0.0007)
+    assert short.termination is long.termination is Termination.CLOSED_LOOP
+    assert 150 < short.walk_queries < 250 and 15_000 < long.walk_queries < 25_000
+    assert abs(long_added - short_added) < 50
+    # the count does see points kept as objects: each Point2 stays tracked
+    before = len(gc.get_objects())
+    assert len(long.inner) + len(long.outer) == long.walk_queries + 2
+    gc.collect()
+    assert len(gc.get_objects()) - before > long.walk_queries
+
+
+def test_budget_death_in_walk_returns_partial_estimate(record_queries, bits):
     # the budget ends among decision steps on the unit circle, and inside
     # the rim episode along the bottom of the half-strip, whose 12 decision
     # steps come after 6 seed and bisection queries
@@ -376,7 +412,7 @@ def test_budget_death_in_walk_returns_partial_estimate(record_queries):
         walk = asked[est.seed_queries + est.bisection_queries :]
         kept = est.points_in_order()[2:]
         assert len(walk) == len(kept) == est.walk_queries
-        assert all(p is q and a == b for (p, a), (q, b) in zip(walk, kept))
+        assert bits(walk) == bits(kept)
 
 
 def test_rim_span_resets_at_each_episode():
