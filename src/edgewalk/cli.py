@@ -250,6 +250,10 @@ def _cmd_compare(args) -> int:
         raise InputError("no epsilons given")
 
     configs = [_walk_config(args, eps) for eps in epsilons]
+    # every step size is refused, if bad, before the first one spends a query
+    domain = _make_classifier(args.classifier).domain
+    for config in configs:
+        config.validate_for(domain)
     spec = _scalar_spec(args.classifier)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,9 +1,12 @@
 """Reference boundaries and estimate quality metrics.
 
 A reference boundary is a dense cloud of points on (or near) the true
-decision boundary, carrying its own localization slack.  References come
-from two places: contouring a scalar field on a fine grid, or the bracket
-midpoints of a much finer estimation run when only the black box exists.
+decision boundary, carrying its own localization slack.  There is one
+definition of that boundary: the points inside the domain where the label
+changes.  The rim of the domain is not part of it, even where the region
+runs into the rim.  References come from two places: contouring a scalar
+field on a fine grid (slack: the cell), or the bracket midpoints of a much
+finer estimation run when only the black box exists (slack: epsilon / 2).
 
 The headline metric is the average symmetric distance between an estimate
 side and the reference: the mean of all nearest-neighbor distances taken
@@ -13,9 +16,8 @@ outer sides.
 Only scoring needs scipy, and it loads on first use, not with the
 package: `scipy.spatial` at the first KD-tree (`asd_to_reference`,
 `average_symmetric_distance`, `coverage_within`,
-`ReferenceBoundary.nn_distances`), and `scipy.optimize` only for
-`reference_from_scalar` with `include_domain_edges=True`.  Walks, grids,
-classifiers, the DC-OPF oracle and contouring run on numpy alone.
+`ReferenceBoundary.nn_distances`).  Walks, grids, classifiers, the DC-OPF
+oracle and contouring run on numpy alone.
 """
 
 from __future__ import annotations
@@ -75,92 +77,29 @@ class ReferenceBoundary:
         return self.tree().query(_as_array(points))[0]
 
 
-def _edge_interior_runs(fn, threshold: float, domain: Domain, cell: float) -> np.ndarray:
-    """Points at spacing <= cell on perimeter stretches inside the level set.
-
-    Where the level set crosses an edge, the crossing parameter is refined
-    by root finding so run endpoints sit on the true boundary.
-    """
-    from scipy.optimize import brentq
-
-    out: list[tuple[float, float]] = []
-    corners = domain.corners()
-    for (ax, ay), (bx, by) in zip(corners, (*corners[1:], corners[0])):
-        length = math.hypot(bx - ax, by - ay)
-        n = max(2, math.ceil(length / cell) + 1)
-        ts = np.linspace(0.0, 1.0, n)
-        vals = np.asarray(
-            fn(ax + ts * (bx - ax), ay + ts * (by - ay)), dtype=float
-        )
-        inside = vals < threshold
-
-        def height(t):
-            return float(fn(ax + t * (bx - ax), ay + t * (by - ay))) - threshold
-
-        cuts = [0.0]
-        for k in np.nonzero(inside[:-1] != inside[1:])[0].tolist():
-            lo, hi = float(ts[k]), float(ts[k + 1])
-            if height(hi) == 0.0:
-                cuts.append(hi)
-            elif height(lo) == 0.0:
-                cuts.append(lo)
-            else:
-                cuts.append(float(brentq(height, lo, hi, xtol=1e-13)))
-        cuts.append(1.0)
-        for lo, hi in zip(cuts, cuts[1:]):
-            if hi - lo <= 0.0:
-                continue
-            if float(fn(
-                ax + 0.5 * (lo + hi) * (bx - ax),
-                ay + 0.5 * (lo + hi) * (by - ay),
-            )) < threshold:
-                m = max(2, math.ceil((hi - lo) * length / cell) + 1)
-                for t in np.linspace(lo, hi, m):
-                    out.append((ax + t * (bx - ax), ay + t * (by - ay)))
-    if not out:
-        return np.empty((0, 2), dtype=float)
-    return np.array(out, dtype=float)
-
-
 def reference_from_scalar(
-    fn,
-    threshold: float,
-    domain: Domain,
-    cell: float,
-    include_domain_edges: bool = False,
+    fn, threshold: float, domain: Domain, cell: float
 ) -> ReferenceBoundary:
     """Contour the scalar field and collect its vertices as a reference.
 
     Contour pieces shorter than 5% of the longest piece are dropped; they
     are below the resolution an epsilon-stepping estimate can see and
-    would skew the symmetric distance.  With include_domain_edges the
-    perimeter stretches running through the interior are appended, giving
-    the full boundary of the clipped region.
+    would skew the symmetric distance.
     """
     polylines = marching_squares(fn, threshold, domain, cell)
-    lengths = [polyline_length(p) for p in polylines]
-    kept = []
-    if polylines:
-        longest = max(lengths)
-        kept = [
-            p
-            for p, ln in zip(polylines, lengths)
-            if ln >= _MIN_COMPONENT_FRACTION * longest
-        ]
-    chunks = []
-    for p in kept:
-        if len(p) > 1 and (p[0] == p[-1]).all():
-            chunks.append(p[:-1])
-        else:
-            chunks.append(p)
-    if include_domain_edges:
-        runs = _edge_interior_runs(fn, threshold, domain, cell)
-        if len(runs):
-            chunks.append(runs)
-    if not chunks:
+    if not polylines:
         raise EmptyContourError(
             f"level set {threshold} does not intersect the domain at cell {cell}"
         )
+    lengths = [polyline_length(p) for p in polylines]
+    longest = max(lengths)
+    kept = [
+        p
+        for p, ln in zip(polylines, lengths)
+        if ln >= _MIN_COMPONENT_FRACTION * longest
+    ]
+    # a closed piece repeats its first vertex last
+    chunks = [p[:-1] if len(p) > 1 and (p[0] == p[-1]).all() else p for p in kept]
     return ReferenceBoundary(
         points=np.vstack(chunks),
         slack=cell,
@@ -172,18 +111,21 @@ def reference_from_scalar(
 def reference_from_estimate(estimate: BoundaryEstimate) -> ReferenceBoundary:
     """Bracket midpoints of a fine run, for scoring when no field exists.
 
-    Every appended point sits within epsilon of the latest opposite-label
-    point, so each such pair straddles the boundary and its midpoint is
-    within epsilon / 2 of it.
+    Each point is paired with the latest point of the other label before
+    it, and the pair's midpoint is kept when the two lie within epsilon of
+    each other, as the bracket pair always does.  The domain is convex, so
+    the segment between them lies in it, and the label changes along it:
+    the decision boundary crosses the segment, within epsilon / 2 of the
+    midpoint.  A rim episode carries its interior points away from the
+    latest exterior one; those pairs lie farther apart and are skipped.
     """
     pts = estimate.points_in_order()
-    if len(pts) < 2:
-        raise InputError("estimate holds no bracket pair")
+    reach = estimate.epsilon * (1.0 + 1e-9)
     latest = {pts[0][1]: pts[0][0]}
     mids = []
     for p, lab in pts[1:]:
         partner = latest.get(1 - lab)
-        if partner is not None:
+        if partner is not None and math.dist(p, partner) <= reach:
             mids.append(((p[0] + partner[0]) / 2.0, (p[1] + partner[1]) / 2.0))
         latest[lab] = p
     return ReferenceBoundary(

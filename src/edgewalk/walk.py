@@ -64,9 +64,9 @@ unless the seeds start closer.  So a decision step takes the first point
 `circle_circle_intersection` returns, the one left of inner-to-outer: it
 lies about 0.87 epsilon left of the pair and the other one as far right,
 and `select_forward` runs only when fewer than two points come back.  And
-the walk cannot repeat a test point: the next one lies epsilon from both
-ends of the pair, one of them the last test point, and epsilon exceeds
-twice the geometric tolerance.  `EdgeConfig.validate_for` refuses
+a step cannot repeat the last test point: the next one lies epsilon
+from both ends of the pair, one of them the last test point, and epsilon
+exceeds twice the geometric tolerance.  `EdgeConfig.validate_for` refuses
 explicit seeds within that tolerance of each other, an epsilon of at
 most twice it, and one too small for a rim step to resolve against the
 side it stands on, so the pair never degenerates.  A budget death or a

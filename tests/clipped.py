@@ -13,13 +13,16 @@ the shape.  The tests that walk these shapes share the measures here:
 - `rim_vertex_gaps(points, outline)`: how far each rim vertex lies from the
   nearest walk point, with its interior angle;
 - `decision_step_lengths(points, domain)`: how far apart each two
-  consecutive decision points of a walk lie, on any domain.
+  consecutive decision points of a walk lie, on any domain;
+- `shapes()`: a hypothesis strategy drawing a clipped half-plane or ellipse.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from hypothesis import strategies as st
 
 from edgewalk.geometry import Domain
 
@@ -184,6 +187,18 @@ def ellipse(cx, cy, ra, rb, phi):
     # the radius of curvature at the ends of the major axis
     turn = min(ra, rb) ** 2 / max(ra, rb)
     return Clipped(fn, 1.0, inside, None, crossings, clearance, turn, boundary_step)
+
+
+@st.composite
+def shapes(draw):
+    """A clipped half-plane or rotated ellipse; either may run off the square."""
+    if draw(st.booleans()):
+        return halfplane(
+            draw(st.floats(0.0, 2.0 * math.pi)), draw(st.floats(-0.9, 0.9))
+        )
+    centre = draw(st.floats(-0.8, 0.8)), draw(st.floats(-0.8, 0.8))
+    axes = draw(st.floats(0.1, 0.6)), draw(st.floats(0.1, 0.6))
+    return ellipse(*centre, *axes, draw(st.floats(0.0, math.pi)))
 
 
 def _rim_arclength(p):

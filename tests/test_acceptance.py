@@ -95,16 +95,12 @@ def bench():
         spec = CANONICAL_SPECS[name]
         cell = eps / 10.0
         ref = reference_from_scalar(spec.fn, spec.threshold, spec.domain, cell)
-        ref_closed = reference_from_scalar(
-            spec.fn, spec.threshold, spec.domain, cell, include_domain_edges=True
-        )
         out[(name, eps)] = {
             "est": est,
             "grid": grid,
             "edge_wall": edge_wall,
             "grid_wall": grid_wall,
             "ref": ref,
-            "ref_closed": ref_closed,
             "cell": cell,
         }
     return out
@@ -143,15 +139,25 @@ def test_distance_scores_within_two_hundredths(bench):
 
 
 def test_every_walk_point_near_region_outline(bench):
+    # the region's outline is the decision boundary plus the rim stretches
+    # inside the region; the points the walk steps along the rim sit on the
+    # latter, so they are checked to lie on the rim instead
     for key in CASES:
         cell = bench[key]
         est = cell["est"]
-        cov = coverage_within(
-            est.inner + est.outer, cell["ref_closed"], key[1] + cell["cell"]
-        )
+        dom = CANONICAL_SPECS[key[0]].domain
+        tol = dom.geom_tol
+
+        def on_rim(p):
+            return min(
+                p.x - dom.x_min, dom.x_max - p.x, p.y - dom.y_min, dom.y_max - p.y
+            ) <= tol
+
+        off_rim = est.outer + [p for p in est.inner if not on_rim(p)]
+        cov = coverage_within(off_rim, cell["ref"], key[1] + cell["cell"])
         assert cov.fraction_within == 1.0, (
             f"{key[0]} eps={key[1]}: {cov.n_outside} points farther than "
-            f"epsilon+cell from the region outline (worst {cov.max_distance:.4f})"
+            f"epsilon+cell from the decision boundary (worst {cov.max_distance:.4f})"
         )
 
 

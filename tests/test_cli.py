@@ -420,6 +420,18 @@ class TestCompare:
         )
         assert rc == 4
 
+    @pytest.mark.parametrize("bad", ["0", "-0.1", "nan", "12"])
+    def test_bad_epsilon_refused_before_any_query(self, tmp_path, capsys, bad):
+        # the good step size comes first: it used to be walked and gridded,
+        # 366,075 queries, before the bad one was refused
+        out = tmp_path / "o"
+        argv = ["compare", "rosenbrock", "--epsilons", f"0.02,{bad}", "--out", str(out)]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (out / "table.csv").exists()
+
 
 class TestDispatch:
     def test_feasible_json(self, capsys):

@@ -150,17 +150,15 @@ def assert_same_polylines(got, want):
 
 
 def assert_matches_dense(fn, threshold, domain, cell):
-    """Polylines and the closed reference equal the dense oracle's.
+    """Polylines and the reference equal the dense oracle's.
 
     Returns the dense polylines, so a caller can check the case is not empty.
     """
     want = dense_marching_squares(fn, threshold, domain, cell)
     assert_same_polylines(marching_squares(fn, threshold, domain, cell), want)
-    ref = reference_from_scalar(fn, threshold, domain, cell, include_domain_edges=True)
+    ref = reference_from_scalar(fn, threshold, domain, cell)
     with mock.patch.object(metrics, "marching_squares", dense_marching_squares):
-        dense_ref = reference_from_scalar(
-            fn, threshold, domain, cell, include_domain_edges=True
-        )
+        dense_ref = reference_from_scalar(fn, threshold, domain, cell)
     assert np.array_equal(ref.points, dense_ref.points)
     assert_same_polylines(ref.polylines, dense_ref.polylines)
     return want
