@@ -220,11 +220,18 @@ def default_network() -> Network:
 class FeasibilityLP:
     """Equality-form program whose right side varies with the injections.
 
-    Variable order: dispatchable generation, then bus angles without the
-    reference bus, then line flows.  Rows: one per line tying flow to the
-    angle drop, one per bus balancing power.  program is the simplex
-    program over the constraint matrix and the variable bounds, prepared
-    once by build_feasibility_lp; program.A, .lo and .hi hold them.
+    Columns: dispatchable generation g, the angles t of every bus but the
+    reference, line flows f.  Rows, one per line and then one per bus:
+
+        [0 | D | X  ] (g, t, f) = 0       flow times reactance is the angle drop
+        [G | 0 | Inc] (g, t, f) = -load   outflow minus generation
+
+    D has -1 at a line's from-bus and +1 at its to-bus, X is the diagonal
+    of reactances, G has -1 at each generator's bus, and Inc has +1 where a
+    line leaves a bus and -1 where it enters.  The injections add to the
+    two slot buses' rows (rhs).  program is the simplex program over the
+    matrix and the variable bounds, prepared once by build_feasibility_lp;
+    program.A, .lo and .hi hold them.
     """
 
     b_base: np.ndarray
@@ -240,76 +247,31 @@ class FeasibilityLP:
 
 
 def build_feasibility_lp(net: Network) -> FeasibilityLP:
-    ng = len(net.generators)
-    nb = len(net.buses)
-    nl = len(net.lines)
-    bus_index = {b: k for k, b in enumerate(net.buses)}
-    ref = net.reference_bus
-
-    # angle columns exist for every bus except the reference
-    theta_col: dict[int, int] = {}
-    col = ng
-    for b in net.buses:
-        if b != ref:
-            theta_col[b] = col
-            col += 1
-    flow_col = {k: col + k for k in range(nl)}
-    n = col + nl
+    ng, nb, nl = len(net.generators), len(net.buses), len(net.lines)
+    at_bus = np.array(net.buses)[:, None]
+    leaves = (at_bus == [ln.from_bus for ln in net.lines]).astype(float)
+    enters = (at_bus == [ln.to_bus for ln in net.lines]).astype(float)
+    # enters - leaves, not -Inc.T, which would store -0.0
+    D = (enters - leaves).T[:, at_bus[:, 0] != net.reference_bus]
+    G = np.where(at_bus == [g.bus for g in net.generators], -1.0, 0.0)
+    A = np.block([
+        [np.zeros((nl, ng)), D, np.diag([ln.reactance for ln in net.lines])],
+        [G, np.zeros((nb, nb - 1)), leaves - enters],
+    ])
 
     # biggest flow any single line could carry, for safe finite bounds
     heaviest = sum(g.capacity for g in net.generators)
     heaviest += sum(s.rating for s in net.slots)
     heaviest += sum(net.loads.values())
-    angle_span = 1.0 + sum(
-        ln.reactance * (ln.limit if math.isfinite(ln.limit) else heaviest)
-        for ln in net.lines
-    )
-
-    m = nl + nb
-    A = np.zeros((m, n))
-    b = np.zeros(m)
-    lo = np.zeros(n)
-    hi = np.zeros(n)
-    cost = np.zeros(n)
-
-    for k, g in enumerate(net.generators):
-        lo[k] = 0.0
-        hi[k] = g.capacity
-        cost[k] = g.cost
-    for bcol in theta_col.values():
-        lo[bcol] = -angle_span
-        hi[bcol] = angle_span
-    for k, ln in enumerate(net.lines):
-        cap = ln.limit if math.isfinite(ln.limit) else heaviest
-        lo[flow_col[k]] = -cap
-        hi[flow_col[k]] = cap
-
-    for k, ln in enumerate(net.lines):
-        A[k, flow_col[k]] = ln.reactance
-        if ln.from_bus != ref:
-            A[k, theta_col[ln.from_bus]] = -1.0
-        if ln.to_bus != ref:
-            A[k, theta_col[ln.to_bus]] = 1.0
-
-    for bus, bi in bus_index.items():
-        row = nl + bi
-        for k, ln in enumerate(net.lines):
-            if ln.from_bus == bus:
-                A[row, flow_col[k]] = 1.0
-            elif ln.to_bus == bus:
-                A[row, flow_col[k]] = -1.0
-        for k, g in enumerate(net.generators):
-            if g.bus == bus:
-                A[row, k] = -1.0
-        b[row] = -net.loads.get(bus, 0.0)
-
-    slot_rows = tuple(nl + bus_index[s.bus] for s in net.slots)
-    return FeasibilityLP(
-        b_base=b,
-        cost=cost,
-        slot_rows=slot_rows,  # type: ignore[arg-type]
-        program=BoundedLP(A, lo, hi),
-    )
+    cap = [ln.limit if math.isfinite(ln.limit) else heaviest for ln in net.lines]
+    angle_span = 1.0 + sum(ln.reactance * c for ln, c in zip(net.lines, cap))
+    span = np.full(nb - 1, angle_span)
+    lo = np.concatenate([np.zeros(ng), -span, np.negative(cap)])
+    hi = np.concatenate([[g.capacity for g in net.generators], span, cap])
+    b = np.concatenate([np.zeros(nl), [-net.loads.get(k, 0.0) for k in net.buses]])
+    cost = np.concatenate([[g.cost for g in net.generators], np.zeros(nb - 1 + nl)])
+    r1, r2 = (nl + net.buses.index(s.bus) for s in net.slots)
+    return FeasibilityLP(b, cost, (r1, r2), BoundedLP(A, lo, hi))
 
 
 def lp_feasible(lp: FeasibilityLP, injections: tuple[float, float]) -> bool:
@@ -336,24 +298,15 @@ def dispatch(net: Network, injections: tuple[float, float]) -> DispatchResult:
     res = lp.program.solve(lp.cost, lp.rhs(injections))
     if res.status == "infeasible":
         return DispatchResult(False, None, [], [], {})
-    ng = len(net.generators)
-    nb_nonref = len(net.buses) - 1
-    angles = {net.reference_bus: 0.0}
-    k = ng
-    for bus in net.buses:
-        if bus != net.reference_bus:
-            angles[bus] = float(res.x[k])
-            k += 1
-    flows = [
-        (ln, float(res.x[ng + nb_nonref + i])) for i, ln in enumerate(net.lines)
-    ]
-    generation = [(g, float(res.x[i])) for i, g in enumerate(net.generators)]
+    ng, nl, ref = len(net.generators), len(net.lines), net.reference_bus
+    gen, theta, flow = np.split(res.x, [ng, len(res.x) - nl])
+    angles = dict(zip([b for b in net.buses if b != ref], theta.tolist()))
     return DispatchResult(
         feasible=True,
         cost=float(res.objective),
-        generation=generation,
-        flows=flows,
-        angles=angles,
+        generation=list(zip(net.generators, gen.tolist())),
+        flows=list(zip(net.lines, flow.tolist())),
+        angles={ref: 0.0} | angles,
     )
 
 

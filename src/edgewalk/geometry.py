@@ -285,17 +285,6 @@ def perimeter_circle_intersection(
                 hits.append(
                     ((ax + t1 * dx, ay + t1 * dy), (s_edge + t1 * edge_len) % period)
                 )
-    if len(hits) < 2:
-        return hits
-    if len(hits) == 2:
-        # the perimeter walk's usual case: sorting and merging two hits
-        # reduce to one comparison of arclengths and one of distance
-        (p0, s0), (p1, s1) = hits
-        if s1 < s0:
-            hits.reverse()
-        if math.hypot(p0[0] - p1[0], p0[1] - p1[1]) <= tol:
-            del hits[1]
-        return hits
     hits.sort(key=itemgetter(1))
     deduped: list[tuple[XY, float]] = []
     for p, s in hits:

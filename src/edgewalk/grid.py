@@ -57,26 +57,14 @@ def run_grid(c: Classifier, epsilon: float) -> GridEstimate:
     total = c.query_count - start
 
     interior = labels == 1
-    # off-grid neighbors must never register as transitions, so each mask
-    # pads with its own value
-    pad_in = np.ones((ny + 2, nx + 2), dtype=bool)
-    pad_in[1:-1, 1:-1] = interior
-    has_out_neighbor = (
-        ~pad_in[:-2, 1:-1]
-        | ~pad_in[2:, 1:-1]
-        | ~pad_in[1:-1, :-2]
-        | ~pad_in[1:-1, 2:]
-    )
-    pad_out = np.zeros((ny + 2, nx + 2), dtype=bool)
-    pad_out[1:-1, 1:-1] = interior
-    has_in_neighbor = (
-        pad_out[:-2, 1:-1]
-        | pad_out[2:, 1:-1]
-        | pad_out[1:-1, :-2]
-        | pad_out[1:-1, 2:]
-    )
-    inner_mask = interior & has_out_neighbor
-    outer_mask = ~interior & has_in_neighbor
+    # the nodes whose label differs from that of an on-grid 4-neighbour
+    differs = np.zeros_like(interior)
+    step_x = interior[:, 1:] != interior[:, :-1]
+    step_y = interior[1:] != interior[:-1]
+    differs[:, 1:] |= step_x
+    differs[:, :-1] |= step_x
+    differs[1:] |= step_y
+    differs[:-1] |= step_y
 
     def collect(mask: np.ndarray) -> list[Point2]:
         pts = []
@@ -87,8 +75,8 @@ def run_grid(c: Classifier, epsilon: float) -> GridEstimate:
         return pts
 
     return GridEstimate(
-        inner=collect(inner_mask),
-        outer=collect(outer_mask),
+        inner=collect(interior & differs),
+        outer=collect(~interior & differs),
         nx=nx,
         ny=ny,
         total_queries=total,

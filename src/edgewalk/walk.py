@@ -29,7 +29,7 @@ of escape from the start pair, so that a lap that is one long rim
 episode escapes too.
 
 Closure.  A walk closes when it returns within epsilon of its start pair
-after first moving more than 2 epsilon away.  A start pair bisected on
+after first moving at least 2 epsilon away.  A start pair bisected on
 the rim can sit where the returning walk reaches the rim, out of that
 reach (1.4 epsilon on a half-plane in `tests/test_walk_golden.py`), and
 the lap would then repeat until the budget ran out.  So a walk whose
@@ -37,7 +37,7 @@ first decision step leaves the domain, and which therefore starts with a
 rim episode, has two more targets.  The anchor is the pair its first
 in-domain decision step starts from, usually the last rim point of that
 episode and its exit: the walk closes when it returns within epsilon of
-the anchor after moving more than 2 epsilon from it.  And once it has
+the anchor after moving at least 2 epsilon from it.  And once it has
 left the anchor, a rim entry on the arclength the first episode covered
 closes it, before that entry's query: from there the walk would repeat a
 stretch of rim it has sampled.  The second target usually closes such a
@@ -391,7 +391,7 @@ def decision_boundary_walk(
     site.  The closure tests run there after a decision step or a rim
     exit, and the escape test alone after an interior rim point: the
     loop closes once the walk has first escaped the start bracket
-    (beyond two epsilon) and the latest point then returns to within
+    (by two epsilon or more) and the latest point then returns to within
     epsilon of a start point.  A walk whose first decision step leaves
     the domain also closes on its anchor, the pair its first in-domain
     decision step starts from, in the same way, and, once it has escaped
@@ -494,7 +494,7 @@ def decision_boundary_walk(
                     if not escaped:
                         x, y = x_test
                         d = min(hypot(x - xi0, y - yi0), hypot(x - xo0, y - yo0))
-                        escaped = d > 2.0 * epsilon
+                        escaped = d >= 2.0 * epsilon
                     continue
             else:
                 out_end = x_test
@@ -512,7 +512,7 @@ def decision_boundary_walk(
             if escaped:
                 if back_dist <= epsilon:
                     return Termination.CLOSED_LOOP, None
-            elif back_dist > 2.0 * epsilon:
+            elif back_dist >= 2.0 * epsilon:
                 escaped = True
             if anchored:
                 back_dist = hypot(x - xai, y - yai)
@@ -522,7 +522,7 @@ def decision_boundary_walk(
                 if anchor_escaped:
                     if back_dist <= epsilon:
                         return Termination.CLOSED_LOOP, None
-                elif back_dist > 2.0 * epsilon:
+                elif back_dist >= 2.0 * epsilon:
                     anchor_escaped = True
     except BudgetExhaustedError:
         return Termination.BUDGET_EXHAUSTED, None

@@ -1,5 +1,6 @@
 """Network parsing, the bounded simplex, and grid-feasibility labeling."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -249,6 +250,64 @@ class TestNetworkParsing:
             ln.limit for ln in net.lines if math.isfinite(ln.limit)
         )
         assert finite_limits == [1.8, 2.0]
+
+
+def assert_bits(actual, expected):
+    """Equal as float64 arrays, down to the sign of each zero."""
+    expected = np.asarray(expected, dtype=np.float64)
+    np.testing.assert_array_equal(actual, expected)
+    assert actual.dtype == np.float64 and actual.tobytes() == expected.tobytes()
+
+
+class TestFeasibilityProgram:
+    def test_packaged_program_is_pinned_to_the_bit(self):
+        # the walk's labels, the kept bases and every recorded output follow
+        # these bytes; a rewrite of the builder must keep them, -0.0 included
+        lp = build_feasibility_lp(default_network())
+        h = hashlib.sha256()
+        for a in (lp.program.A, lp.b_base, lp.program.lo, lp.program.hi, lp.cost):
+            assert a.dtype == np.float64
+            h.update(a.tobytes())
+        assert h.hexdigest() == (
+            "fd58698841371f2121b00e3ec87ee15f54023ea8d998e876d777149a0a784110"
+        )
+        assert lp.slot_rows == (6, 10)
+
+    def test_three_bus_program_written_out(self):
+        # a parallel pair of lines 2 -> 3 and two generators on bus 3;
+        # columns g1 g3 g3' | t2 t3 | f12 f23 f23', rows one per line, then
+        # one per bus
+        net = parse_network(
+            net_text(
+                gens="1  10.0  2.0\n3  20.0  1.0\n3  25.0  0.5",
+                lines="1  2  0.1  1.5\n2  3  0.2  inf\n2  3  0.4  1.0",
+                loads="2  3.0",
+                slots="1  4.0\n3  2.0",
+            )
+        )
+        lp = build_feasibility_lp(net)
+        assert_bits(
+            lp.program.A,
+            [
+                [0, 0, 0, 1, 0, 0.1, 0, 0],
+                [0, 0, 0, -1, 1, 0, 0.2, 0],
+                [0, 0, 0, -1, 1, 0, 0, 0.4],
+                [-1, 0, 0, 0, 0, 1, 0, 0],
+                [0, 0, 0, 0, 0, -1, 1, 1],
+                [0, -1, -1, 0, 0, 0, -1, -1],
+            ],
+        )
+        # buses without load balance to -0.0
+        assert_bits(lp.b_base, [0.0, 0.0, 0.0, -0.0, -3.0, -0.0])
+        # an uncapped line is bounded by the heaviest flow, capacity plus
+        # ratings plus load; the angles by 1 plus the sum of reactance times
+        # cap over the lines, in line order
+        heaviest = (2.0 + 1.0 + 0.5) + (4.0 + 2.0) + 3.0
+        span = 1.0 + (0.1 * 1.5 + 0.2 * heaviest + 0.4 * 1.0)
+        assert_bits(lp.program.lo, [0, 0, 0, -span, -span, -1.5, -heaviest, -1.0])
+        assert_bits(lp.program.hi, [2.0, 1.0, 0.5, span, span, 1.5, heaviest, 1.0])
+        assert_bits(lp.cost, [10.0, 20.0, 25.0, 0, 0, 0, 0, 0])
+        assert lp.slot_rows == (3, 5)
 
 
 class TestFeasibilityRegion:
