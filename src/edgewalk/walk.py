@@ -79,21 +79,23 @@ bisection midpoint as a plain `(x, y)` tuple, and the run queries that
 tuple as it is.  The run logs every query after the seed scan, in order
 and with its label: the explicit seeds, the bisection midpoints, then
 each walk point, decision or rim; a budget death raises before its query
-reaches the oracle.  While the run lasts the log is a list of the
-queried tuples; `run_edge` then packs it once into
-`BoundaryEstimate.xy`, one `array('d')` of interleaved x and y beside
-the `labels` bytearray.  A finished estimate thus holds no Python object
-per query, 17 bytes a point with its label, and nothing the cyclic GC
-has to traverse.  A `Point2` is a tuple subclass, which the GC never
-untracks, so a log of them would be traversed in every full collection
-for as long as the estimate lives.  `inner` and `outer` are the one
-place this module builds a `Point2`, on first use.  The scan's probes
-are the first `seed_queries` points of `seed_scan`, all with one label
-but the last, so the estimate keeps only that label, and
-`BoundaryEstimate.query_log` regenerates them.  So the estimate holds
-every query of a run in memory that grows with the boundary, not with
-the scan, and `edgewalk run --log-queries` writes points.csv and
-queries.csv from it in one pass, formatting each walk point once.
+reaches the oracle.  The log has its final form from the first query:
+`_Budget.xy`, one `array('d')` of interleaved x and y, which each query
+site extends with the tuple it queried, beside the `labels` bytearray,
+and `run_edge` hands both to the `BoundaryEstimate` as they are.  So
+neither a run nor its estimate holds a Python object per query: a
+finished estimate keeps 17 bytes a point with its label, a run peaks at
+about 18, and the cyclic GC has nothing of theirs to traverse.  A
+`Point2` is a tuple subclass, which the GC never untracks, so a log of
+them would be traversed in every full collection for as long as the
+estimate lives.  `inner` and `outer` are the one place this module builds
+a `Point2`, on first use.  The scan's probes are the first `seed_queries`
+points of `seed_scan`, all with one label but the last, so the estimate
+keeps only that label, and `BoundaryEstimate.query_log` regenerates
+them.  So the estimate holds every query of a run in memory that grows
+with the boundary, not with the scan, and `edgewalk run --log-queries`
+writes points.csv and queries.csv from it in one pass, formatting each
+walk point once.
 """
 
 from __future__ import annotations
@@ -241,9 +243,10 @@ class BoundaryEstimate:
 
     xy and labels log every query after the seed scan in order: the
     explicit seeds, the bisection midpoints, then walk_queries walk
-    points.  xy packs their coordinates, x then y for each query, so a
-    finished estimate holds no object per point for the cyclic GC to
-    traverse; the readers below yield (x, y) tuples from it.  The walk
+    points.  xy packs their coordinates, x then y for each query; it is
+    the run's own log, filled as the run queried, so neither the run nor
+    the estimate holds an object per point for the cyclic GC to
+    traverse.  The readers below yield (x, y) tuples from it.  The walk
     starts from pair, the bracket (inner, outer).  A scan keeps only
     scan_label, the label of all its probes but the last (None with
     explicit seeds).  inner and outer, lists of Point2, are built on
@@ -302,9 +305,9 @@ class _Budget:
 
     run_edge builds one per run and passes it to every step, which reads
     the domain from it and queries only through it.  Every step but the
-    seed scan appends each point it queries, the plain (x, y) tuple, and
-    its label to the log, points and labels; run_edge packs points into
-    the estimate's xy once the run ends.
+    seed scan appends each point it queries and its label to the log:
+    xy, extended with the plain (x, y) tuple, and labels.  run_edge
+    hands both to the estimate without copying.
     """
 
     def __init__(self, classifier: Classifier, max_queries: int):
@@ -313,7 +316,7 @@ class _Budget:
         self.max_queries = max_queries
         self.start = classifier.query_count
         self.limit = self.start + max_queries
-        self.points: list[XY] = []
+        self.xy = array("d")
         self.labels = bytearray()
 
     @property
@@ -342,7 +345,7 @@ def _bisect(
     while distance(x_in, x_out) >= epsilon:
         m = midpoint(x_in, x_out)
         label = budget.query(m)
-        budget.points.append(m)
+        budget.xy.extend(m)
         budget.labels.append(label)
         if label == 0:
             x_out = m
@@ -409,7 +412,7 @@ def decision_boundary_walk(
     hypot = math.hypot
     x_lo, x_hi = domain.x_min - tol, domain.x_max + tol
     y_lo, y_hi = domain.y_min - tol, domain.y_max + tol
-    add_point, add_label = budget.points.append, budget.labels.append
+    add_point, add_label = budget.xy.extend, budget.labels.append
     # the latest inner and outer points, the pair each decision step starts from
     in_end, out_end = pair
     (xi0, yi0), (xo0, yo0) = pair
@@ -608,7 +611,7 @@ def run_edge(c: Classifier, config: EdgeConfig) -> BoundaryEstimate:
             label = budget.query(p)
             if label != want:
                 raise InputError(f"{name} seed {p} has label {label}")
-            budget.points.append(p)
+            budget.xy.extend(p)
             budget.labels.append(label)
     else:
         (x_in, x_out), scan_label = _seed_search(budget, epsilon)
@@ -617,7 +620,7 @@ def run_edge(c: Classifier, config: EdgeConfig) -> BoundaryEstimate:
     bisection_queries = budget.used - seed_queries
     termination, failure = decision_boundary_walk(budget, (x_in, x_out), epsilon)
     return BoundaryEstimate(
-        xy=array("d", chain.from_iterable(budget.points)),
+        xy=budget.xy,
         labels=budget.labels,
         pair=(x_in, x_out),
         scan_label=scan_label,

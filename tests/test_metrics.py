@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +172,60 @@ def test_blackbox_slack_holds_on_clipped_shapes(shape, eps):
     except NoBoundaryFoundError:
         reject()
     assert_within_half_epsilon(est, shape.fn, shape.threshold, clipped.SQUARE)
+
+
+def list_pairing(estimate):
+    """The midpoints of reference_from_estimate, paired over a list of tuples."""
+    pts = estimate.points_in_order()
+    reach = estimate.epsilon * (1.0 + 1e-9)
+    latest = {pts[0][1]: pts[0][0]}
+    mids = []
+    for p, lab in pts[1:]:
+        partner = latest.get(1 - lab)
+        if partner is not None and math.dist(p, partner) <= reach:
+            mids.append(((p[0] + partner[0]) / 2.0, (p[1] + partner[1]) / 2.0))
+        latest[lab] = p
+    return np.array(mids, dtype=float)
+
+
+def fine_run(name):
+    """A run at 0.005 on a level set, or on a clipped ellipse.
+
+    The ellipse runs off the square's bottom-right corner, so its walk
+    has rim episodes whose pairs the reference skips.
+    """
+    if name in CANONICAL_SPECS:
+        c = make_test_classifier(name)
+    else:
+        shape = clipped.ellipse(0.6, -0.5, 0.6, 0.4, 0.5)
+        c = make_classifier(shape.fn, shape.threshold, clipped.SQUARE, name)
+    return run_edge(c, EdgeConfig(epsilon=0.005))
+
+
+@pytest.mark.parametrize("name", [*sorted(CANONICAL_SPECS), "clipped-ellipse"])
+def test_blackbox_reference_streams_the_list_pairing(name):
+    fine = fine_run(name)
+    # the pairing streams the walk log into one float array: the same
+    # midpoints, bit for bit, at about 17 bytes a query, where the list
+    # of tuples and midpoints peaked at about 328
+    reference_from_estimate(fine)  # warm-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ref = reference_from_estimate(fine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    queries = len(fine.labels)
+    assert peak < 4096 + 40 * queries
+    expected = list_pairing(fine)
+    assert ref.points.shape == expected.shape == (len(ref.points), 2)
+    assert ref.points.dtype == expected.dtype
+    assert ref.points.tobytes() == expected.tobytes()
+    if name == "clipped-ellipse":
+        # the rim episodes leave some of the 1 + walk_queries pairs too
+        # far apart to keep
+        assert len(ref.points) < 1 + fine.walk_queries
 
 
 @pytest.mark.parametrize("name", sorted(CANONICAL_SPECS))

@@ -236,7 +236,8 @@ def test_domain_walk_raises_after_full_lap():
         "leaving the interior set"
     )
     assert list(budget.labels) == [1] * c.query_count
-    on_rim = [p for p in budget.points if p[0] in (0.0, 1.0) or p[1] in (0.0, 1.0)]
+    xy = iter(budget.xy)
+    on_rim = [p for p in zip(xy, xy) if p[0] in (0.0, 1.0) or p[1] in (0.0, 1.0)]
     assert len(on_rim) >= dom.perimeter / 0.05
 
 
@@ -362,6 +363,24 @@ def test_kept_memory_grows_with_the_log_not_the_scan():
     for est, kept, with_sides in discs:
         assert kept < 4096 + 24 * len(est.labels)
         assert with_sides < 4096 + 160 * len(est.labels)
+
+
+def test_run_peaks_at_its_packed_log():
+    # each query joins the packed log as the run makes it, so the run
+    # peaks at the log's 17 bytes a query plus the array's spare room;
+    # a list of the queried tuples peaked at about 131
+    run_edge(unit_circle_classifier(), EdgeConfig(epsilon=0.05))  # warm-up
+    c = unit_circle_classifier()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        est = run_edge(c, EdgeConfig(epsilon=0.0005))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.termination is Termination.CLOSED_LOOP
+    assert est.total_queries > 20_000
+    assert peak < 4096 + 24 * est.total_queries
 
 
 def tracked_objects_kept(epsilon):
