@@ -17,13 +17,18 @@ import numpy as np
 
 from .classifier import Classifier
 from .errors import InputError
-from .geometry import Domain, Point2
+from .geometry import Domain
 
 
 @dataclass
 class GridEstimate:
-    inner: list[Point2]
-    outer: list[Point2]
+    """The kept transition nodes, each side an (n, 2) float array of (x, y) rows.
+
+    Nodes come in scan order, row by row from the bottom, left to right.
+    """
+
+    inner: np.ndarray
+    outer: np.ndarray
     nx: int
     ny: int
     total_queries: int
@@ -42,7 +47,8 @@ def run_grid(c: Classifier, epsilon: float) -> GridEstimate:
     """Query the full grid row by row, bottom to top, left to right.
 
     The grid keeps only the labels, so each node is queried as a plain
-    (x, y) tuple; only the kept transition points are built as Point2.
+    (x, y) tuple; the kept transition nodes are rebuilt from their indices
+    with the same float expressions.
     """
     domain = c.domain
     nx, ny = grid_shape(domain, epsilon)
@@ -66,17 +72,11 @@ def run_grid(c: Classifier, epsilon: float) -> GridEstimate:
     differs[1:] |= step_y
     differs[:-1] |= step_y
 
-    def collect(mask: np.ndarray) -> list[Point2]:
-        pts = []
-        for j, i in np.argwhere(mask).tolist():
-            pts.append(
-                Point2(domain.x_min + i * epsilon, domain.y_min + j * epsilon)
-            )
-        return pts
-
+    # (x, y) of the nodes a mask holds, x_min + i * epsilon as each was queried
+    corner = np.array([domain.x_min, domain.y_min], dtype=float)
     return GridEstimate(
-        inner=collect(interior & differs),
-        outer=collect(~interior & differs),
+        inner=corner + np.argwhere(interior & differs)[:, ::-1] * epsilon,
+        outer=corner + np.argwhere(~interior & differs)[:, ::-1] * epsilon,
         nx=nx,
         ny=ny,
         total_queries=total,

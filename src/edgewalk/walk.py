@@ -8,7 +8,8 @@ and appends it to the set matching its label.  Every appended point is
 thereby within epsilon of a point of the opposite label, which brackets the
 decision boundary between them.
 
-The walk is one loop with two modes.  A decision step intersects the
+The walk is one generator with two modes, `_walk_points`, which yields
+each test point and is sent its label.  A decision step intersects the
 two circles, as above.  When its test point falls outside the domain, a
 rim episode begins: the walk steps counter-clockwise along the domain
 perimeter, keeping the interior set on its left as the decision steps
@@ -19,14 +20,13 @@ point on one side, and while no other side's line lies within reach of
 its circle it steps along that side alone (`step_along_side`), in
 constant time; at corners, and wherever that step cannot decide, the
 full search and the nearest-ahead rule take the step.  Both pick the
-same point, bit for bit.  The loop's state is small: the mode, the rim
+same point, bit for bit.  The walk's state is small: the mode, the rim
 arclength, the arclength the current episode has covered, whether the
 walk has escaped its start, and the two closure targets of a walk that
-starts on the rim (below).  Every test point of either mode is queried
-and appended at one site, and the closure tests run there after a
-decision step or a rim exit; an interior rim point runs only the test
-of escape from the start pair, so that a lap that is one long rim
-episode escapes too.
+starts on the rim (below).  Every test point of either mode is yielded
+at one site, and the closure tests run there after a decision step or a
+rim exit; an interior rim point runs only the test of escape from the
+start pair, so that a lap that is one long rim episode escapes too.
 
 Closure.  A walk closes when it returns within epsilon of its start pair
 after first moving at least 2 epsilon away.  A start pair bisected on
@@ -38,24 +38,36 @@ rim episode, has two more targets.  The anchor is the pair its first
 in-domain decision step starts from, usually the last rim point of that
 episode and its exit: the walk closes when it returns within epsilon of
 the anchor after moving at least 2 epsilon from it.  And once it has
-left the anchor, a rim entry on the arclength the first episode covered
-closes it, before that entry's query: from there the walk would repeat a
-stretch of rim it has sampled.  The second target usually closes such a
-walk first, one lap after it began; the anchor closes a lap begun at the
-exit of the first episode.  Why a lap meets them: every lap leaves that
-stretch of rim at its first exterior point, less than epsilon past the
-crossing, so its exit lies within epsilon of the anchor's; and a lap
-coming back along the boundary to the start enters the rim near the
-first episode's start, within its arclength.  Neither is proved for
-every shape; `tests/test_walk.py` checks on generated clipped
-half-planes and ellipses wider than 2 epsilon that the walk closes
-within 1.2 laps.  For every other walk the anchor would be the start
-pair itself, and neither target is kept.
+moved at least 2 epsilon from its start pair or from the anchor, a rim
+entry on the arclength the first episode covered closes it, before that
+entry's query: from there the walk would repeat a stretch of rim it has
+sampled.  The second target usually closes such a walk first, one lap
+after it began; the anchor closes a lap begun at the exit of the first
+episode.  Why a lap meets them: every lap leaves that stretch of rim at
+its first exterior point, less than epsilon past the crossing, so its
+exit lies within epsilon of the anchor's; and a lap coming back along
+the boundary to the start enters the rim near the first episode's start,
+within its arclength.  The start pair arms the second target too:
+beside a rim edge shorter than epsilon a walk can leave its start pair
+but never its anchor (`tests/test_walk.py`), and armed by the anchor
+alone the target let such a walk alternate a rim exit and one decision
+step until the budget ran out.  Neither target is proved for every
+shape; `tests/test_walk.py` checks on generated clipped half-planes and
+ellipses wider than 2 epsilon that the walk closes within 1.2 laps.
+For every other walk the anchor would be the start pair itself, and
+neither target is kept.
 
-`run_edge` builds one `_Budget` per run and threads it through the seed
-scan, the bisection and the walk: it is their only handle on the oracle
-and the domain, so every query of a run passes through `_Budget.query`,
-and `run_edge` builds the estimate once, with its per-phase counts.
+The geometry never sees the oracle.  The explicit-seed check, the
+bisection (`_bisect`) and the walk are generators of the points they
+want labelled, each sent the label of the point it yielded last, so a
+walk can be replayed from a logged run's labels alone.  `run_edge`
+builds one `_Budget` per run and drives the three in turn with
+`_Budget.drive`, the one site that queries and logs: it queries each
+yielded point through `_Budget.query`, appends it and its label to the
+log, and sends the label back.  Only the seed scan, whose probes are not
+logged, calls `_Budget.query` itself.  So every query of a run passes
+through `_Budget.query`, and `run_edge` reads `_Budget.used` between the
+three drives for the per-phase counts and builds the estimate once.
 
 Each step is one pass of float arithmetic, and the containment and
 closure tests are inline comparisons.  Each step leaves the pair epsilon
@@ -80,8 +92,8 @@ tuple as it is.  The run logs every query after the seed scan, in order
 and with its label: the explicit seeds, the bisection midpoints, then
 each walk point, decision or rim; a budget death raises before its query
 reaches the oracle.  The log has its final form from the first query:
-`_Budget.xy`, one `array('d')` of interleaved x and y, which each query
-site extends with the tuple it queried, beside the `labels` bytearray,
+`_Budget.xy`, one `array('d')` of interleaved x and y, which the driver
+extends with the tuple it queried, beside the `labels` bytearray,
 and `run_edge` hands both to the `BoundaryEstimate` as they are.  So
 neither a run nor its estimate holds a Python object per query: a
 finished estimate keeps 17 bytes a point with its label, a run peaks at
@@ -102,7 +114,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Iterator
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -303,11 +315,13 @@ class BoundaryEstimate:
 class _Budget:
     """The run's query gate, which counts oracle calls and enforces the cap.
 
-    run_edge builds one per run and passes it to every step, which reads
-    the domain from it and queries only through it.  Every step but the
-    seed scan appends each point it queries and its label to the log:
-    xy, extended with the plain (x, y) tuple, and labels.  run_edge
-    hands both to the estimate without copying.
+    run_edge builds one per run.  drive is the run's one site that
+    queries and logs: it runs a point generator, queries each point the
+    generator yields, appends the point to xy, as the plain (x, y) tuple
+    it is, and its label to labels, and sends the label back.  Only the
+    seed scan, whose probes the estimate regenerates, calls query
+    directly.  run_edge hands xy and labels to the estimate without
+    copying.
     """
 
     def __init__(self, classifier: Classifier, max_queries: int):
@@ -330,24 +344,47 @@ class _Budget:
             )
         return self.classifier.query(p)
 
+    def drive(self, points: Generator[XY, int, object]) -> object:
+        """Query and log each point points yields, sending back its label.
 
-def _bisect(
-    budget: _Budget, x_in: XY, x_out: XY, epsilon: float
-) -> tuple[XY, XY]:
+        Returns what the generator returns.  A budget death raises
+        BudgetExhaustedError before its point reaches the oracle or the
+        log, and an error the generator raises propagates.
+        """
+        query = self.query
+        add_point, add_label = self.xy.extend, self.labels.append
+        send = points.send
+        label = None  # send(None) starts the generator
+        while True:
+            try:
+                p = send(label)
+            except StopIteration as stop:
+                return stop.value
+            label = query(p)
+            add_point(p)
+            add_label(label)
+
+
+def _check_seeds(x_in: XY, x_out: XY) -> Generator[XY, int, None]:
+    """Yield the explicit seeds; raise InputError unless each has its stated label."""
+    for name, p, want in (("interior", x_in, 1), ("exterior", x_out, 0)):
+        label = yield p
+        if label != want:
+            raise InputError(f"{name} seed {p} has label {label}")
+
+
+def _bisect(x_in: XY, x_out: XY, epsilon: float) -> Generator[XY, int, tuple[XY, XY]]:
     """Shrink an opposite-label pair until the endpoints are within epsilon.
 
     The caller vouches for the seed labels (they are not re-queried here)
-    and for a positive epsilon.  Each iteration queries the midpoint of the
-    current pair, logs it, and replaces the endpoint of matching label,
-    halving the gap; the loop runs while the gap is at least epsilon.
-    Returns the refined (inner, outer) pair.
+    and for a positive epsilon.  Each iteration yields the midpoint of the
+    current pair, is sent its label, and replaces the endpoint of matching
+    label, halving the gap; the loop runs while the gap is at least
+    epsilon.  Returns the refined (inner, outer) pair.
     """
     while distance(x_in, x_out) >= epsilon:
         m = midpoint(x_in, x_out)
-        label = budget.query(m)
-        budget.xy.extend(m)
-        budget.labels.append(label)
-        if label == 0:
+        if (yield m) == 0:
             x_out = m
         else:
             x_in = m
@@ -370,49 +407,45 @@ def _rim_entry(
     return max(cands, key=lambda ps: distance(ps[0], out_end))
 
 
-def decision_boundary_walk(
-    budget: _Budget, pair: tuple[XY, XY], epsilon: float
-) -> tuple[Termination, str | None]:
+def _walk_points(
+    domain: Domain, pair: tuple[XY, XY], epsilon: float
+) -> Generator[XY, int, None]:
     """Trace the boundary in epsilon steps from a tightened bracket.
 
-    pair is the bracket (inner, outer) the walk starts from.  The walk
-    runs in one of two modes.  A decision step intersects the
-    epsilon-circles around the latest inner and outer points and takes
-    the intersection lying ahead of the pair (on the left of the
-    inner-to-outer direction), the first of the two.  When that point
-    falls outside the domain, a rim episode begins where `_rim_entry`
-    puts it, and the walk steps counter-clockwise along the perimeter,
-    each step the nearest perimeter point more than tol ahead at
-    distance epsilon, until it finds an exterior point and resumes
-    decision steps.  Away from corners `step_along_side` finds that step
-    on the current side alone; where two sides lie within reach, or the
-    on-side step cannot decide, `perimeter_circle_intersection` searches
-    all four sides for it.  An episode whose steps add up to the whole
-    perimeter raises FullPerimeterError.
+    A generator: it yields each test point and is sent its label.  pair
+    is the bracket (inner, outer) the walk starts from.  The walk runs in
+    one of two modes.  A decision step intersects the epsilon-circles
+    around the latest inner and outer points and takes the intersection
+    lying ahead of the pair (on the left of the inner-to-outer
+    direction), the first of the two.  When that point falls outside the
+    domain, a rim episode begins where `_rim_entry` puts it, and the walk
+    steps counter-clockwise along the perimeter, each step the nearest
+    perimeter point more than tol ahead at distance epsilon, until it
+    finds an exterior point and resumes decision steps.  Away from
+    corners `step_along_side` finds that step on the current side alone;
+    where two sides lie within reach, or the on-side step cannot decide,
+    `perimeter_circle_intersection` searches all four sides for it.
+    An episode whose steps add up to the whole perimeter raises
+    FullPerimeterError.
 
-    Every test point is queried and appended to the budget's log at one
-    site.  The closure tests run there after a decision step or a rim
-    exit, and the escape test alone after an interior rim point: the
-    loop closes once the walk has first escaped the start bracket
-    (by two epsilon or more) and the latest point then returns to within
-    epsilon of a start point.  A walk whose first decision step leaves
-    the domain also closes on its anchor, the pair its first in-domain
-    decision step starts from, in the same way, and, once it has escaped
-    the anchor, at a rim entry on the arclength its first rim episode
-    covered (see the module docstring).  Walks on features too small to
-    escape run until the budget ends.  A budget death or a geometric
-    failure ends the walk with the points found so far.  Returns the
-    termination and, for failed, the failure message.
+    Every test point is yielded at one site.  The closure tests run there
+    after a decision step or a rim exit, and the escape test alone after
+    an interior rim point: the walk returns once it has first escaped the
+    start bracket (by two epsilon or more) and the latest point then comes
+    back to within epsilon of a start point.  A walk whose first decision
+    step leaves the domain also returns on its anchor, the pair its first
+    in-domain decision step starts from, in the same way, and, once it
+    has escaped the start bracket or the anchor, at a rim entry on the
+    arclength its first rim episode covered (see the module docstring).
+    Walks on features too small to escape go on until the caller stops
+    sending labels.  A geometric failure raises GeometricFailureError.
     """
-    domain = budget.domain
     tol = domain.geom_tol
     period = domain.perimeter
     half_period = 0.5 * period
-    query = budget.query
     hypot = math.hypot
     x_lo, x_hi = domain.x_min - tol, domain.x_max + tol
     y_lo, y_hi = domain.y_min - tol, domain.y_max + tol
-    add_point, add_label = budget.xy.extend, budget.labels.append
     # the latest inner and outer points, the pair each decision step starts from
     in_end, out_end = pair
     (xi0, yi0), (xo0, yo0) = pair
@@ -431,106 +464,100 @@ def decision_boundary_walk(
     # has moved span along it since the episode began
     on_rim = False
     s_cur = span = 0.0
-    try:
-        while True:
-            if on_rim:
-                step = step_along_side(domain, in_end, s_cur, epsilon)
-                if step is not None:
-                    x_test, s_new, d_new = step
-                else:
-                    # a corner, or a step the one side cannot decide: the
-                    # nearest hit ahead among all sides, as min() over
-                    # (delta, s, point) would pick it
-                    d_new = math.inf
-                    for p, s in perimeter_circle_intersection(domain, in_end, epsilon):
-                        # the step from s_cur to s, wrapped into (-P/2, P/2]
-                        d = (s - s_cur) % period
-                        if d > half_period:
-                            d -= period
-                        if tol < d < d_new or (d == d_new and (s, p) < (s_new, x_test)):
-                            d_new, s_new, x_test = d, s, p
-                    if d_new == math.inf:
-                        raise GeometricFailureError(
-                            "domain walk found no forward perimeter point "
-                            f"from {in_end}"
-                        )
-                span += d_new
-                if span >= period:
-                    raise FullPerimeterError(
-                        "perimeter walk traversed the full domain boundary without "
-                        "leaving the interior set"
+    while True:
+        if on_rim:
+            step = step_along_side(domain, in_end, s_cur, epsilon)
+            if step is not None:
+                x_test, s_new, d_new = step
+            else:
+                # a corner, or a step the one side cannot decide: the
+                # nearest hit ahead among all sides, as min() over
+                # (delta, s, point) would pick it
+                d_new = math.inf
+                for p, s in perimeter_circle_intersection(domain, in_end, epsilon):
+                    # the step from s_cur to s, wrapped into (-P/2, P/2]
+                    d = (s - s_cur) % period
+                    if d > half_period:
+                        d -= period
+                    if tol < d < d_new or (d == d_new and (s, p) < (s_new, x_test)):
+                        d_new, s_new, x_test = d, s, p
+                if d_new == math.inf:
+                    raise GeometricFailureError(
+                        "domain walk found no forward perimeter point "
+                        f"from {in_end}"
                     )
-                s_cur = s_new
+            span += d_new
+            if span >= period:
+                raise FullPerimeterError(
+                    "perimeter walk traversed the full domain boundary without "
+                    "leaving the interior set"
+                )
+            s_cur = s_new
+        else:
+            cands = circle_circle_intersection(in_end, out_end, epsilon, tol)
+            if len(cands) == 2:
+                # the forward point comes first (see the module docstring)
+                x_test = cands[0]
             else:
-                cands = circle_circle_intersection(in_end, out_end, epsilon, tol)
-                if len(cands) == 2:
-                    # the forward point comes first (see the module docstring)
-                    x_test = cands[0]
-                else:
-                    x_test = select_forward(in_end, out_end, cands, tol)
-                x, y = x_test
-                if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
-                    # the boundary ran off the domain: enter the rim
-                    x_test, s_cur = _rim_entry(domain, in_end, out_end, epsilon)
-                    if steps == 0:
-                        seek_anchor = True
-                        s_first = s_cur
-                    elif anchor_escaped and (s_cur - s_first) % period <= first_span:
-                        # back on the rim the first episode walked
-                        return Termination.CLOSED_LOOP, None
-                    span = 0.0
-                    on_rim = True
-                elif seek_anchor:
-                    seek_anchor = False
-                    anchored = True
-                    (xai, yai), (xao, yao) = in_end, out_end
-            # the one append site: the plain tuple the geometry built is
-            # queried and joins the log with its label
-            steps += 1
-            label = query(x_test)
-            add_point(x_test)
-            add_label(label)
-            if label == 1:
-                in_end = x_test
-                if on_rim:
-                    # a lap that is one long rim episode must escape too
-                    if not escaped:
-                        x, y = x_test
-                        d = min(hypot(x - xi0, y - yi0), hypot(x - xo0, y - yo0))
-                        escaped = d >= 2.0 * epsilon
-                    continue
-            else:
-                out_end = x_test
-                if on_rim:
-                    # the rim exit: decision steps resume from here
-                    on_rim = False
-                    if seek_anchor and first_span < 0.0:
-                        first_span = span
+                x_test = select_forward(in_end, out_end, cands, tol)
+            x, y = x_test
+            if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
+                # the boundary ran off the domain: enter the rim
+                x_test, s_cur = _rim_entry(domain, in_end, out_end, epsilon)
+                if steps == 0:
+                    seek_anchor = True
+                    s_first = s_cur
+                elif (escaped or anchor_escaped) and (
+                    (s_cur - s_first) % period <= first_span
+                ):
+                    # back on the rim the first episode walked
+                    return
+                span = 0.0
+                on_rim = True
+            elif seek_anchor:
+                seek_anchor = False
+                anchored = True
+                (xai, yai), (xao, yao) = in_end, out_end
+        # the one site: the plain tuple the geometry built goes out to be
+        # queried, and its label comes back
+        steps += 1
+        if (yield x_test) == 1:
+            in_end = x_test
+            if on_rim:
+                # a lap that is one long rim episode must escape too
+                if not escaped:
                     x, y = x_test
-            # distance of the latest point, (x, y), to the nearer start point
-            back_dist = hypot(x - xi0, y - yi0)
-            to_outer = hypot(x - xo0, y - yo0)
+                    d = min(hypot(x - xi0, y - yi0), hypot(x - xo0, y - yo0))
+                    escaped = d >= 2.0 * epsilon
+                continue
+        else:
+            out_end = x_test
+            if on_rim:
+                # the rim exit: decision steps resume from here
+                on_rim = False
+                if seek_anchor and first_span < 0.0:
+                    first_span = span
+                x, y = x_test
+        # distance of the latest point, (x, y), to the nearer start point
+        back_dist = hypot(x - xi0, y - yi0)
+        to_outer = hypot(x - xo0, y - yo0)
+        if to_outer < back_dist:
+            back_dist = to_outer
+        if escaped:
+            if back_dist <= epsilon:
+                return
+        elif back_dist >= 2.0 * epsilon:
+            escaped = True
+        if anchored:
+            back_dist = hypot(x - xai, y - yai)
+            to_outer = hypot(x - xao, y - yao)
             if to_outer < back_dist:
                 back_dist = to_outer
-            if escaped:
+            if anchor_escaped:
                 if back_dist <= epsilon:
-                    return Termination.CLOSED_LOOP, None
+                    return
             elif back_dist >= 2.0 * epsilon:
-                escaped = True
-            if anchored:
-                back_dist = hypot(x - xai, y - yai)
-                to_outer = hypot(x - xao, y - yao)
-                if to_outer < back_dist:
-                    back_dist = to_outer
-                if anchor_escaped:
-                    if back_dist <= epsilon:
-                        return Termination.CLOSED_LOOP, None
-                elif back_dist >= 2.0 * epsilon:
-                    anchor_escaped = True
-    except BudgetExhaustedError:
-        return Termination.BUDGET_EXHAUSTED, None
-    except GeometricFailureError as exc:
-        return Termination.FAILED, str(exc)
+                anchor_escaped = True
 
 
 def seed_scan(domain: Domain, epsilon: float) -> Iterator[XY]:
@@ -607,18 +634,19 @@ def run_edge(c: Classifier, config: EdgeConfig) -> BoundaryEstimate:
         x_in = tuple(map(float, config.seed_interior))
         x_out = tuple(map(float, config.seed_exterior))
         scan_label = None
-        for name, p, want in (("interior", x_in, 1), ("exterior", x_out, 0)):
-            label = budget.query(p)
-            if label != want:
-                raise InputError(f"{name} seed {p} has label {label}")
-            budget.xy.extend(p)
-            budget.labels.append(label)
+        budget.drive(_check_seeds(x_in, x_out))
     else:
         (x_in, x_out), scan_label = _seed_search(budget, epsilon)
     seed_queries = budget.used
-    x_in, x_out = _bisect(budget, x_in, x_out, epsilon)
+    x_in, x_out = budget.drive(_bisect(x_in, x_out, epsilon))
     bisection_queries = budget.used - seed_queries
-    termination, failure = decision_boundary_walk(budget, (x_in, x_out), epsilon)
+    termination, failure = Termination.CLOSED_LOOP, None
+    try:
+        budget.drive(_walk_points(c.domain, (x_in, x_out), epsilon))
+    except BudgetExhaustedError:
+        termination = Termination.BUDGET_EXHAUSTED
+    except GeometricFailureError as exc:
+        termination, failure = Termination.FAILED, str(exc)
     return BoundaryEstimate(
         xy=budget.xy,
         labels=budget.labels,

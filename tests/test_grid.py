@@ -29,8 +29,8 @@ def test_hand_worked_three_by_three():
     assert (g.nx, g.ny) == (3, 3)
     assert g.total_queries == 9
     assert c.query_count == 9
-    assert g.inner == [Point2(0.5, 0.0), Point2(0.0, 0.5)]
-    assert g.outer == [Point2(1.0, 0.0), Point2(0.5, 0.5), Point2(0.0, 1.0)]
+    assert g.inner.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+    assert g.outer.tolist() == [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]
 
 
 def test_queries_scan_rows_bottom_up(record_queries):
@@ -59,14 +59,12 @@ def test_transition_points_bracket_the_boundary():
     dom = Domain(-2.0, 2.0, -2.0, 2.0)
     c = make_classifier(lambda x, y: x * x + y * y, 1.0, dom, "circle")
     g = run_grid(c, 0.1)
-    for p in g.inner:
-        r = np.hypot(p.x, p.y)
-        assert r < 1.0
-        assert abs(r - 1.0) <= 0.1 + 1e-9
-    for p in g.outer:
-        r = np.hypot(p.x, p.y)
-        assert r >= 1.0
-        assert abs(r - 1.0) <= 0.1 + 1e-9
+    r_in = np.hypot(g.inner[:, 0], g.inner[:, 1])
+    assert np.all(r_in < 1.0)
+    assert np.all(abs(r_in - 1.0) <= 0.1 + 1e-9)
+    r_out = np.hypot(g.outer[:, 0], g.outer[:, 1])
+    assert np.all(r_out >= 1.0)
+    assert np.all(abs(r_out - 1.0) <= 0.1 + 1e-9)
 
 
 def test_rim_nodes_need_a_real_transition():
@@ -75,15 +73,15 @@ def test_rim_nodes_need_a_real_transition():
     dom = Domain(0.0, 1.0, 0.0, 1.0)
     c = make_classifier(lambda x, y: y, 0.75, dom, "half")
     g = run_grid(c, 0.25)
-    assert all(p.y == 0.5 for p in g.inner)
-    assert all(p.y == 0.75 for p in g.outer)
+    assert np.all(g.inner[:, 1] == 0.5)
+    assert np.all(g.outer[:, 1] == 0.75)
 
 
 def test_runs_are_deterministic():
     a = run_grid(make_test_classifier("beale"), 0.5)
     b = run_grid(make_test_classifier("beale"), 0.5)
-    assert a.inner == b.inner
-    assert a.outer == b.outer
+    assert np.array_equal(a.inner, b.inner)
+    assert np.array_equal(a.outer, b.outer)
     assert a.total_queries == b.total_queries
 
 
@@ -120,4 +118,4 @@ def test_scan_matches_item_by_item_oracle(spec, epsilon, record_queries):
     assert np.array_equal(np.array([lab for _, lab in log]).reshape(g.ny, g.nx), labels)
     assert g.total_queries == c.query_count == labels.size
     assert 0 < labels.sum() < labels.size
-    assert g.inner and g.outer
+    assert len(g.inner) and len(g.outer)

@@ -5,7 +5,7 @@ they are.  A finished estimate packs every query after the seed scan
 into one float array, xy, beside its labels, so it holds no Python
 object per point for the cyclic GC to traverse; inner and outer build
 Point2 lists from it on first use.  The grid queries plain tuples and
-keeps Point2 transition points.  Each logged point therefore equals the
+keeps its transition points as (n, 2) float arrays.  Each logged point therefore equals the
 point the oracle was handed bit for bit, and the seed scan's probes
 regenerate the same way.  Together they hold every query of the run in
 order, which `run --log-queries` writes.
@@ -13,6 +13,7 @@ order, which `run --log-queries` writes.
 
 from array import array
 
+import numpy as np
 import pytest
 
 from edgewalk.classifier import make_classifier
@@ -79,14 +80,20 @@ def test_geometry_returns_plain_tuples():
     assert all(type(p) is tuple for p, _ in hits)
 
 
-def test_grid_queries_plain_tuples_and_keeps_point2(record_queries):
+def test_grid_queries_plain_tuples_and_keeps_float_arrays(record_queries):
     c = clipped_disc()
     log = record_queries(c)
     g = run_grid(c, 0.1)
     assert len(log) == g.total_queries == 21 * 21
     assert all(type(p) is tuple for p, _ in log)
-    assert g.inner and g.outer
-    assert all(type(p) is Point2 for p in g.inner + g.outer)
+    assert len(g.inner) and len(g.outer)
+    for side in (g.inner, g.outer):
+        assert type(side) is np.ndarray
+        assert side.dtype == np.float64 and side.ndim == 2 and side.shape[1] == 2
+    # each kept node is a queried node, bit for bit
+    queried = {(x.hex(), y.hex()) for (x, y), _ in log}
+    kept = {(x.hex(), y.hex()) for x, y in np.vstack([g.inner, g.outer]).tolist()}
+    assert kept <= queried
 
 
 @pytest.mark.parametrize(

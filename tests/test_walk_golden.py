@@ -15,6 +15,7 @@ import random
 import pytest
 
 import clipped
+from replay import replay
 from edgewalk.classifier import make_classifier, make_test_classifier
 from edgewalk.cli import _write_csvs
 from edgewalk.dcopf import default_network, make_dcopf_classifier
@@ -138,6 +139,8 @@ def test_points_csv_is_unchanged(build, termination, queries, digest):
     assert est.total_queries == queries
     text = _points_csv(est, classifier.domain)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # the walk, sent the logged labels alone, yields the logged points
+    replay(est, classifier.domain)
 
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
