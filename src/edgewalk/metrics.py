@@ -13,11 +13,26 @@ side and the reference: the mean of all nearest-neighbor distances taken
 in both directions.  An estimate is scored as the sum over its inner and
 outer sides.
 
-Only scoring needs scipy, and it loads on first use, not with the
-package: `scipy.spatial` at the first KD-tree (`asd_to_reference`,
-`average_symmetric_distance`, `coverage_within`,
-`ReferenceBoundary.nn_distances`).  Walks, grids, classifiers, the DC-OPF
-oracle and contouring run on numpy alone.
+Every score rests on one nearest-neighbour search, `_nearest`, which
+takes two (n, 2) arrays and returns the exact Euclidean distance from each
+point of either to the nearest point of the other, on numpy alone.  It
+buckets both sets on a uniform grid of square cells of side h, four times
+the joint bounding box's longer side over the smaller set's count: about
+the spacing of the sparser set when both trace one curve, as an estimate
+side and its reference do.  Each point of one set is paired with the
+points of the other in its 3 x 3 block of cells, and the least
+dx*dx + dy*dy over those pairs is kept in both directions, the pairs
+streamed in chunks of 2^15 so that the temporaries stay at a few MB.
+
+Why it is exact: two points less than h apart lie in neighbouring cells
+or the same one, so the block around a point holds every point within h
+of it.  A point whose best squared distance is at most h^2 (less a
+2^-20 margin for the rounding of the cell indices) is therefore final.
+The points that are not get searched again with the side doubled, until
+h covers the bounding box and the block holds the whole other set.  The
+distance is then np.sqrt of that least sum, the same float expression a
+KD-tree query evaluates, so the result equals scipy's
+`cKDTree.query` bit for bit; the tests check it against that oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +41,6 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,25 +49,108 @@ from .geometry import Domain
 from .marching import marching_squares, polyline_length
 from .walk import BoundaryEstimate
 
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
-
 _MIN_COMPONENT_FRACTION = 0.05
+# pairs measured per chunk of the nearest-neighbour search
+_CHUNK = 1 << 15
+# a best distance at most this fraction of the cell side is final
+_REACH = 1.0 - 2.0**-20
 
 
 def _as_array(points) -> np.ndarray:
     a = np.asarray(points, dtype=float)
     if a.ndim != 2 or a.shape[1] != 2 or a.shape[0] == 0:
         raise InputError(f"expected a non-empty (n, 2) point set, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InputError("point coordinates must be finite")
     return a
 
 
-def _kd_tree(points) -> cKDTree:
-    # scipy.spatial loads here, at the first score, so that importing the
-    # package does not pay for it
-    from scipy.spatial import cKDTree
+def _block_min(
+    q: np.ndarray, p: np.ndarray, lo: np.ndarray, side: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least squared distances between q and p within 3 x 3 cell blocks.
 
-    return cKDTree(points)
+    Returns, for each point of q, the least dx*dx + dy*dy to the points of
+    p in its block of cells of the given side, cells counted from lo, and
+    the same for each point of p; inf where the block is empty.
+    """
+    # a ring of empty cells round the occupied ones, so a key's neighbours
+    # never wrap onto the next column
+    cq = np.floor((q - lo) / side).astype(np.int64) + 1
+    cp = np.floor((p - lo) / side).astype(np.int64) + 1
+    stride = int(max(cq[:, 1].max(), cp[:, 1].max())) + 2
+    kq = cq[:, 0] * stride + cq[:, 1]
+    kp = cp[:, 0] * stride + cp[:, 1]
+    oq = np.argsort(kq)
+    op = np.argsort(kp)
+    kq = kq[oq]
+    cells, first, count = np.unique(kp[op], return_index=True, return_counts=True)
+    # one row per point of q and occupied cell of its block: the run of
+    # sorted p in that cell
+    row_q, row_p, row_n = [], [], []
+    for shift in (-stride, 0, stride):
+        for d in (-1, 0, 1):
+            target = kq + (shift + d)
+            at = np.searchsorted(cells, target)
+            at[at == len(cells)] = 0
+            hit = np.flatnonzero(cells[at] == target)
+            row_q.append(hit)
+            row_p.append(first[at[hit]])
+            row_n.append(count[at[hit]])
+    rows = np.concatenate(row_q)
+    starts = np.concatenate(row_p)
+    sizes = np.concatenate(row_n)
+    ends = np.cumsum(sizes)
+    qx, qy = q[oq, 0], q[oq, 1]
+    px, py = p[op, 0], p[op, 1]
+    best_q = np.full(len(q), np.inf)
+    best_p = np.full(len(p), np.inf)
+    total = int(ends[-1]) if len(ends) else 0
+    cuts = np.searchsorted(ends, np.arange(_CHUNK, total, _CHUNK), side="right")
+    bounds = [0, *cuts.tolist(), len(rows)]
+    for r0, r1 in zip(bounds, bounds[1:]):
+        if r0 == r1:
+            continue
+        n = sizes[r0:r1]
+        offset = ends[r0:r1] - n
+        offset -= offset[0]
+        i = np.repeat(rows[r0:r1], n)
+        j = np.arange(int(offset[-1] + n[-1])) + np.repeat(starts[r0:r1] - offset, n)
+        dx = qx[i] - px[j]
+        dy = qy[i] - py[j]
+        d2 = dx * dx + dy * dy
+        np.minimum.at(best_q, rows[r0:r1], np.minimum.reduceat(d2, offset))
+        np.minimum.at(best_p, j, d2)
+    out_q = np.empty_like(best_q)
+    out_q[oq] = best_q
+    out_p = np.empty_like(best_p)
+    out_p[op] = best_p
+    return out_q, out_p
+
+
+def _nearest(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact nearest-neighbour distances from a to b and from b to a."""
+    lo = np.minimum(a.min(axis=0), b.min(axis=0))
+    extent = float((np.maximum(a.max(axis=0), b.max(axis=0)) - lo).max())
+    side = 4.0 * extent / min(len(a), len(b))
+    if not side > 0.0:
+        # every point coincides, or the side underflowed
+        side = extent or 1.0
+    best_a, best_b = _block_min(a, b, lo, side)
+    open_a = np.arange(len(a))
+    open_b = np.arange(len(b))
+    while True:
+        reach = (side * _REACH) ** 2
+        open_a = open_a[best_a[open_a] > reach]
+        open_b = open_b[best_b[open_b] > reach]
+        if side >= extent or not (open_a.size or open_b.size):
+            break
+        side *= 2.0
+        if open_a.size:
+            best_a[open_a] = _block_min(a[open_a], b, lo, side)[0]
+        if open_b.size:
+            best_b[open_b] = _block_min(b[open_b], a, lo, side)[0]
+    return np.sqrt(best_a), np.sqrt(best_b)
 
 
 @dataclass
@@ -68,15 +165,9 @@ class ReferenceBoundary:
     slack: float
     polylines: list[np.ndarray] = field(default_factory=list)
     source: str = "scalar"
-    _tree: cKDTree | None = field(default=None, repr=False)
-
-    def tree(self) -> cKDTree:
-        if self._tree is None:
-            self._tree = _kd_tree(self.points)
-        return self._tree
 
     def nn_distances(self, points) -> np.ndarray:
-        return self.tree().query(_as_array(points))[0]
+        return _nearest(_as_array(points), _as_array(self.points))[0]
 
 
 def reference_from_scalar(
@@ -145,18 +236,15 @@ def reference_from_estimate(estimate: BoundaryEstimate) -> ReferenceBoundary:
     )
 
 
-def _symmetric_distance(aa: np.ndarray, bb: np.ndarray, tree_b: cKDTree) -> float:
-    """Average symmetric distance between point arrays, tree_b holding bb."""
-    d_ab = tree_b.query(aa)[0]
-    d_ba = _kd_tree(aa).query(bb)[0]
+def _symmetric_distance(aa: np.ndarray, bb: np.ndarray) -> float:
+    """Average symmetric distance between two point arrays."""
+    d_ab, d_ba = _nearest(aa, bb)
     return float((d_ab.sum() + d_ba.sum()) / (len(aa) + len(bb)))
 
 
 def average_symmetric_distance(a, b) -> float:
     """Mean nearest-neighbor distance over both directions between sets."""
-    aa = _as_array(a)
-    bb = _as_array(b)
-    return _symmetric_distance(aa, bb, _kd_tree(bb))
+    return _symmetric_distance(_as_array(a), _as_array(b))
 
 
 @dataclass(frozen=True)
@@ -187,10 +275,9 @@ def asd_to_reference(
             f"epsilon {epsilon} estimate; need a run at epsilon/10 or finer"
         )
     points = _as_array(reference.points)
-    tree = reference.tree()
     return AsdBreakdown(
-        inner=_symmetric_distance(_as_array(inner), points, tree),
-        outer=_symmetric_distance(_as_array(outer), points, tree),
+        inner=_symmetric_distance(_as_array(inner), points),
+        outer=_symmetric_distance(_as_array(outer), points),
     )
 
 

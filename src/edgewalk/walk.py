@@ -80,11 +80,12 @@ a step cannot repeat the last test point: the next one lies epsilon
 from both ends of the pair, one of them the last test point, and epsilon
 exceeds twice the geometric tolerance.  `EdgeConfig.validate_for` refuses
 explicit seeds within that tolerance of each other, an epsilon of at
-most twice it, and one too small for a rim step to resolve against the
-side it stands on, so the pair never degenerates.  A budget death or a
-geometric failure anywhere in the walk, rim episodes included, ends it
-with termination `budget_exhausted` or `failed` and keeps the partial
-estimate.
+most twice it, one too small for the float spacing of the domain's
+coordinates to resolve, and one too small for a rim step to resolve
+against the side it stands on, so the pair never degenerates.  A budget
+death or a geometric failure anywhere in the walk, rim episodes
+included, ends it with termination `budget_exhausted` or `failed` and
+keeps the partial estimate.
 
 Point contract: the geometry builds every candidate point, rim hit and
 bisection midpoint as a plain `(x, y)` tuple, and the run queries that
@@ -176,10 +177,30 @@ class EdgeConfig:
     def validate_for(self, domain: Domain) -> None:
         """Refuse, before any query, a configuration the walk cannot run.
 
-        epsilon has two floors.  The bisection may leave the pair
+        epsilon has three floors.  The bisection may leave the pair
         epsilon/2 apart, so epsilon must exceed twice the geometric
         tolerance, or the circles around the pair have no intersection to
-        step to.  And a rim step must resolve epsilon against the side it
+        step to.
+
+        The coordinates must resolve epsilon.  Let s be the float spacing
+        at the domain's largest coordinate magnitude, `math.ulp` of it;
+        no coordinate in the domain is spaced more coarsely.  Every point
+        the run builds (a bisection midpoint, a circle intersection, a rim
+        hit) is rounded to that grid, up to s/2 in each coordinate, about
+        s in all with the rounding of its inputs.  So bisection takes a gap
+        g to at most g/2 + s: it stalls near 2 s and never brings a pair
+        within an epsilon of about s or less, and the run spends its whole
+        budget on midpoints that round onto an endpoint.  A distance the
+        walk tests against epsilon or 2 epsilon (bracket, escape and
+        closure) is off by up to about 2 s.  epsilon above 16 s keeps that
+        within an eighth of epsilon, the margin the rim floor below keeps
+        too.  Measured on a disc in a square far from the origin: at 1 s
+        the budget ends in the bisection, at 2 s and 4 s the walk closes
+        after about 17% and 3% more walk queries than the 2.2 per epsilon
+        of boundary it takes far above the floor, and from 8 s on it takes
+        those.
+
+        And a rim step must resolve epsilon against the side it
         stands on.  `side_circle_roots` solves a t^2 + b t + c = 0 for a
         side of length L, a = L^2, around a centre at distance f, at most
         about L, from the side's start: the discriminant b^2 - 4ac, which
@@ -199,6 +220,15 @@ class EdgeConfig:
             raise InputError(
                 f"epsilon {self.epsilon:g} must exceed twice the domain's "
                 f"geometric tolerance {domain.geom_tol:g}"
+            )
+        largest = max(
+            abs(domain.x_min), abs(domain.x_max), abs(domain.y_min), abs(domain.y_max)
+        )
+        spacing = math.ulp(largest)
+        if self.epsilon <= 16.0 * spacing:
+            raise InputError(
+                f"epsilon {self.epsilon:g} must exceed 16 times {spacing:g}, "
+                f"the float spacing of coordinates near {largest:g}"
             )
         side = max(domain.width, domain.height)
         rim_floor = math.sqrt(28.0 * 2.0**-53) * side

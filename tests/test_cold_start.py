@@ -1,8 +1,8 @@
-"""Walking, gridding, contouring and the DC-OPF oracle run without scipy.
+"""The package runs on numpy alone: no scipy module ever loads.
 
-scipy loads only when an estimate is scored, and then only
-`scipy.spatial`.  pytest's own process has scipy loaded already, so the
-check runs in a fresh interpreter.
+Walking, gridding, contouring, the DC-OPF oracle and scoring included.
+pytest's own process has scipy loaded already (the tests use it as an
+oracle), so the check runs in a fresh interpreter.
 """
 
 import json
@@ -47,12 +47,17 @@ seen["unscored"] = scipy_modules()
 edgewalk.asd_to_reference([(1.0, 1.0)], [(1.0, 1.5)], reference)
 edgewalk.coverage_within([(1.0, 1.0)], reference, 0.1)
 edgewalk.average_symmetric_distance([(1.0, 1.0)], [(1.0, 1.5)])
+reference.nn_distances([(1.0, 1.0)])
+with tempfile.TemporaryDirectory() as out:
+    argv = ["run", "beale", "--epsilon", "0.1", "--reference-cell", "0.01", "--out", out]
+    assert cli.main(argv) == 0
+    assert cli.main(["compare", "beale", "--epsilons", "0.2", "--out", out]) == 0
 seen["scored"] = scipy_modules()
 print(json.dumps(seen))
 """
 
 
-def test_scipy_loads_only_when_scoring():
+def test_scipy_never_loads():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -64,8 +69,4 @@ def test_scipy_loads_only_when_scoring():
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen["import"] == []
-    assert seen["unscored"] == []
-    assert "scipy.spatial" in seen["scored"]
-    # no part of the package uses scipy.optimize
-    assert "scipy.optimize" not in seen["scored"]
+    assert seen == {"import": [], "unscored": [], "scored": []}

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, seed, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.spatial import cKDTree
 
 import clipped
 from edgewalk import metrics
@@ -17,6 +19,7 @@ from edgewalk.errors import (
     ReferenceResolutionError,
 )
 from edgewalk.geometry import Domain, Point2
+from edgewalk.grid import run_grid
 from edgewalk.marching import marching_squares, polyline_length
 from edgewalk.metrics import (
     asd_to_reference,
@@ -64,9 +67,8 @@ def test_asd_is_symmetric():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(30, 2))
     b = rng.normal(size=(20, 2))
-    assert average_symmetric_distance(a, b) == pytest.approx(
-        average_symmetric_distance(b, a), rel=1e-14
-    )
+    # both orders measure the same pairs and add the same two sums
+    assert average_symmetric_distance(a, b) == average_symmetric_distance(b, a)
 
 
 def test_asd_rejects_empty_sets():
@@ -79,6 +81,23 @@ CIRCLE_DOMAIN = Domain(-2.0, 2.0, -2.0, 2.0)
 
 def circle_field(x, y):
     return x * x + y * y
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "score",
+    [
+        lambda pts, ref: average_symmetric_distance(pts, ref.points),
+        lambda pts, ref: asd_to_reference(pts, [(0.0, 1.0)], ref),
+        lambda pts, ref: asd_to_reference([(0.0, 1.0)], pts, ref),
+        lambda pts, ref: coverage_within(pts, ref, 0.1),
+    ],
+    ids=["average_symmetric_distance", "asd_inner", "asd_outer", "coverage_within"],
+)
+def test_scoring_refuses_non_finite_points(score, bad):
+    ref = reference_from_scalar(circle_field, 1.0, CIRCLE_DOMAIN, 0.1)
+    with pytest.raises(InputError, match="finite"):
+        score([(1.0, 0.0), (bad, 0.5)], ref)
 
 
 class TestScalarReference:
@@ -264,26 +283,85 @@ def test_coverage_reports_fraction_and_worst_point():
     assert cov.max_distance == pytest.approx(0.5, abs=0.03)
 
 
-def test_scoring_builds_the_reference_tree_once(monkeypatch):
-    ref = reference_from_scalar(circle_field, 1.0, CIRCLE_DOMAIN, 0.02)
-    c = make_classifier(circle_field, 1.0, CIRCLE_DOMAIN, "circle")
-    est = run_edge(c, EdgeConfig(epsilon=0.1))
-    expected = (
-        average_symmetric_distance(est.inner, ref.points),
-        average_symmetric_distance(est.outer, ref.points),
-    )
+def _kd_nearest(a, b):
+    """Both directions of nearest-neighbour distance, by scipy's KD-tree."""
+    return cKDTree(b).query(a)[0], cKDTree(a).query(b)[0]
 
-    built = []
-    kd_tree = metrics._kd_tree
 
-    def spy(points):
-        built.append(points)
-        return kd_tree(points)
+def _cloud(draw, n, center, scale):
+    """n points round center: spread, on one line, or stacked duplicates."""
+    kind = draw(st.sampled_from(["spread", "collinear", "duplicated"]))
+    unit = st.floats(-1.0, 1.0)
+    if kind == "spread":
+        pts = draw(hnp.arrays(float, (n, 2), elements=unit))
+    elif kind == "collinear":
+        t = draw(hnp.arrays(float, (n, 1), elements=unit))
+        pts = t * np.array([draw(unit), draw(unit)])
+    else:
+        distinct = draw(hnp.arrays(float, (max(1, n // 3), 2), elements=unit))
+        pts = distinct[np.arange(n) % len(distinct)]
+    return pts * scale + np.asarray(center)
 
-    monkeypatch.setattr(metrics, "_kd_tree", spy)
-    for _ in range(2):
-        res = asd_to_reference(est.inner, est.outer, ref)
-        # bit for bit the sums of the tree-per-call helper
-        assert (res.inner, res.outer) == expected
-    assert sum(p is ref.points for p in built) == 1
-    assert len(built) == 5
+
+@st.composite
+def point_set_pairs(draw):
+    """Two point sets at one scale: apart, overlapping, or one a point."""
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    gap = draw(st.sampled_from([0.0, 0.5, 1e3]))
+    sizes = st.integers(1, 120)
+    a = _cloud(draw, draw(sizes), (0.0, 0.0), scale)
+    b = _cloud(draw, draw(sizes), (gap * scale, 0.3 * gap * scale), scale)
+    return a, b
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(point_set_pairs())
+def test_nearest_matches_the_kd_tree(pair):
+    # the cell-grid search measures dx*dx + dy*dy with the KD-tree's float
+    # expression, so every distance is equal to the last bit, not close
+    a, b = pair
+    d_ab, d_ba = metrics._nearest(a, b)
+    want_ab, want_ba = _kd_nearest(a, b)
+    assert np.array_equal(d_ab, want_ab)
+    assert np.array_equal(d_ba, want_ba)
+
+
+def _kd_asd(side, points):
+    d_ab, d_ba = _kd_nearest(np.asarray(side, dtype=float), points)
+    return float((d_ab.sum() + d_ba.sum()) / (len(d_ab) + len(d_ba)))
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_SPECS))
+def test_level_set_scores_match_the_kd_tree_formula(name):
+    # what `edgewalk compare` reports at 0.05: walk and grid against the
+    # contour at a tenth of the step
+    spec = CANONICAL_SPECS[name]
+    ref = reference_from_scalar(spec.fn, spec.threshold, spec.domain, 0.005)
+    est = run_edge(make_test_classifier(name), EdgeConfig(epsilon=0.05))
+    grid = run_grid(make_test_classifier(name), 0.05)
+    for inner, outer in ((est.inner, est.outer), (grid.inner, grid.outer)):
+        res = asd_to_reference(inner, outer, ref)
+        assert (res.inner, res.outer) == (
+            _kd_asd(inner, ref.points),
+            _kd_asd(outer, ref.points),
+        )
+
+
+def test_scoring_peaks_at_a_few_mib():
+    # goldstein-price at 0.05 against its 13,738-point contour; the pairs
+    # stream in chunks of 2^15, so the peak, about 3 MiB, does not grow
+    # with their number
+    spec = CANONICAL_SPECS["goldstein_price"]
+    ref = reference_from_scalar(spec.fn, spec.threshold, spec.domain, 0.005)
+    assert len(ref.points) == 13738
+    est = run_edge(make_test_classifier("goldstein_price"), EdgeConfig(epsilon=0.05))
+    inner, outer = np.asarray(est.inner), np.asarray(est.outer)
+    asd_to_reference(inner, outer, ref)  # warm-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        asd_to_reference(inner, outer, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -558,6 +558,39 @@ def test_epsilon_the_rim_step_cannot_resolve_is_refused_before_any_query():
 
 
 @pytest.mark.parametrize(
+    "center, half, radius, eps",
+    [(1e9, 1e-6, 5e-7, 3e-8), (1e15, 1.0, 0.5, 0.03)],
+    ids=["1e9", "1e15"],
+)
+def test_epsilon_below_the_float_spacing_is_refused_before_any_query(
+    center, half, radius, eps
+):
+    # coordinates near 1e9 are 1.2e-7 apart and near 1e15 0.125 apart, so
+    # the bisection's midpoint rounds onto an endpoint and the gap never
+    # shrinks to epsilon: these runs used to spend their whole budgets,
+    # 2,544 and 2,667 queries, and raise BudgetExhaustedError
+    dom = Domain(center - half, center + half, center - half, center + half)
+    spacing = math.ulp(center + half)
+    assert eps < spacing
+
+    def disc(x, y):
+        return (x - center) ** 2 + (y - center) ** 2
+
+    c = make_classifier(disc, radius * radius, dom)
+    with pytest.raises(InputError, match="float spacing"):
+        run_edge(c, EdgeConfig(epsilon=eps))
+    assert c.query_count == 0
+    # sixteen spacings are refused; the next float up walks round the disc
+    with pytest.raises(InputError, match="float spacing"):
+        EdgeConfig(epsilon=16.0 * spacing).validate_for(dom)
+    reach = 1e4 * spacing
+    wide = Domain(center - reach, center + reach, center - reach, center + reach)
+    c = make_classifier(disc, (reach / 2.0) ** 2, wide)
+    est = run_edge(c, EdgeConfig(epsilon=math.nextafter(16.0 * spacing, math.inf)))
+    assert est.termination is Termination.CLOSED_LOOP
+
+
+@pytest.mark.parametrize(
     "seed",
     [(0.0, 0.0, 1.0), (0.0,), "ab", (math.nan, 0.0)],
     ids=["three-numbers", "one-number", "string", "nan"],
