@@ -12,13 +12,13 @@ geometric tolerance, corners and edges) once, on first use, and keeps them;
 the walk reads them on every perimeter step.
 
 A walk step is one pass of float arithmetic: `circle_circle_intersection`
-for the step between two epsilon-circles, whose first point is the
-forward one, and `step_along_side` for a counter-clockwise step along one
-side of the rim.
-`perimeter_circle_intersection` searches all four sides; the perimeter
-walk needs it only to enter the rim and at corners.  Both rim functions
-solve each side's segment-circle quadratic with `side_circle_roots`, and
-each builds only the points it returns.
+for the step between two epsilon-circles, which returns the one forward
+point, and `rim_step` for a counter-clockwise step along the rim, the
+nearest hit ahead among those `perimeter_circle_intersection` finds.
+That search tries all four sides but solves the segment-circle quadratic
+only for those whose line lies within the circle's reach; it returns the
+hits as it finds them, side by side, and the walk's rim entry and
+`rim_step` each pick the one they need.
 
 Point contract: the step functions and `midpoint` take any (x, y) pair and
 return plain `(x, y)` tuples.  Most of the points they build are thrown
@@ -27,9 +27,7 @@ is also cheaper to keep: the cyclic GC stops tracking a tuple of floats,
 but never a `Point2`, a tuple subclass, so every `Point2` kept is
 traversed again in each full collection.  The walk queries the plain
 tuples, and its estimate packs the points it logs into one float array,
-building `Point2`s only when `inner` or `outer` is asked for; the grid
-queries plain tuples and builds a `Point2` only for the points its
-estimate keeps.
+building `Point2`s only when `inner` or `outer` is asked for.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import CoincidentCentersError, InputError, NoForwardCandidateError
@@ -63,18 +60,15 @@ def midpoint(a: XY, b: XY) -> XY:
 class Edge(NamedTuple):
     """One side of a domain, directed counter-clockwise.
 
-    s_start is the arclength of start; axis is the coordinate the side
-    holds constant (1 for the horizontal sides, 0 for the vertical ones).
-    The remaining fields are the side's constants in the segment-circle
-    quadratic: the direction (dx, dy) from start to the side's other end,
-    a = dx^2 + dy^2, and the tolerance t_tol in units of the segment
-    parameter.
+    s_start is the arclength of start.  The remaining fields are the
+    side's constants in the segment-circle quadratic: the direction
+    (dx, dy) from start to the side's other end, a = dx^2 + dy^2, and the
+    tolerance t_tol in units of the segment parameter.
     """
 
     start: Point2
     length: float
     s_start: float
-    axis: int
     dx: float
     dy: float
     a: float
@@ -150,7 +144,7 @@ class Domain:
             seg_len = math.sqrt(sq_len)
             t_tol = tol / seg_len if seg_len > 0.0 else 0.0
             edges.append(
-                Edge(a, length, s_start, 1 - i % 2, dx, dy, sq_len, t_tol)
+                Edge(a, length, s_start, dx, dy, sq_len, t_tol)
             )
             s_start += length
         return tuple(edges)
@@ -160,15 +154,15 @@ class Domain:
         return self.x_min <= p[0] <= self.x_max and self.y_min <= p[1] <= self.y_max
 
 
-def circle_circle_intersection(
-    c1: XY, c2: XY, r: float, tol: float
-) -> list[XY]:
-    """Intersect two circles of equal radius r centered at c1 and c2.
+def circle_circle_intersection(c1: XY, c2: XY, r: float, tol: float) -> XY:
+    """The forward point of two circles of equal radius r about c1 and c2.
 
-    Returns [] when the circles are farther apart than 2r, one point at
-    tangency, otherwise two points.  The two-point case lists the point on
-    the left of the directed line c1->c2 first.  Raises for (nearly)
-    coincident centers, where the intersection is not a finite point set.
+    Returns the crossing on the left of the directed line c1->c2, the one
+    a walk from inner end c1 and outer end c2 steps to.  Raises
+    CoincidentCentersError for (nearly) coincident centers, where the
+    crossings are not a finite point set, and NoForwardCandidateError
+    when the centers lie 2r - tol apart or more, where the circles touch
+    at most on that line or miss each other.
     """
     ux = c2[0] - c1[0]
     uy = c2[1] - c1[1]
@@ -177,17 +171,15 @@ def circle_circle_intersection(
         raise CoincidentCentersError(
             f"circle centers {c1} and {c2} coincide within tolerance {tol}"
         )
-    if d > 2.0 * r + tol:
-        return []
-    mx = 0.5 * (c1[0] + c2[0])
-    my = 0.5 * (c1[1] + c2[1])
     if d >= 2.0 * r - tol:
-        return [(mx, my)]
+        raise NoForwardCandidateError(
+            f"circles of radius {r} about {c1} and {c2} cross at no point "
+            f"forward of them"
+        )
     h = math.sqrt(r * r - 0.25 * d * d)
-    # unit perpendicular of c1->c2, rotated +90 degrees, scaled by h
-    hx = h * (-uy / d)
-    hy = h * (ux / d)
-    return [(mx + hx, my + hy), (mx - hx, my - hy)]
+    # the midpoint plus the unit perpendicular of c1->c2, rotated +90
+    # degrees, scaled by h
+    return 0.5 * (c1[0] + c2[0]) + h * (-uy / d), 0.5 * (c1[1] + c2[1]) + h * (ux / d)
 
 
 def select_forward(
@@ -198,9 +190,9 @@ def select_forward(
     Forward means a positive cross product of (outer_end - inner_end) with
     (candidate - inner_end).  The cross product is normalized to a signed
     perpendicular offset so the threshold is a length, comparable to tol.
-    Of the two points `circle_circle_intersection` returns for centres
-    less than 2r - tol apart it picks the first, when r exceeds 2 tol; so
-    the walk calls it only when fewer than two come back, where it raises.
+    The walk does not call it: `circle_circle_intersection` returns the
+    one crossing on that side, which this rule picks of the two whenever
+    r exceeds 2 tol.
     """
     ix, iy = inner_end
     ux = outer_end[0] - ix
@@ -225,51 +217,48 @@ def select_forward(
     return best
 
 
-def side_circle_roots(
-    edge: Edge, cx: float, cy: float, rr: float
-) -> tuple[float, float] | None:
-    """Where a side's line meets the circle of squared radius rr about (cx, cy).
-
-    Returns the parameters t0 <= t1 of the two points where the line
-    start + t (dx, dy) crosses the circle, or None when it misses.  The
-    caller decides which roots lie on the side: within t_tol of [0, 1].
-    """
-    (ax, ay), _, _, _, dx, dy, a, _ = edge
-    # a t^2 + b t + c = 0
-    fx, fy = ax - cx, ay - cy
-    b = 2.0 * (fx * dx + fy * dy)
-    c = fx * fx + fy * fy - rr
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return None
-    sq = math.sqrt(disc)
-    return (-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)
-
-
 def perimeter_circle_intersection(
     domain: Domain, center: XY, r: float
 ) -> list[tuple[XY, float]]:
     """Points where the circle around center meets the domain perimeter.
 
-    Returns (point, arclength) pairs sorted by arclength, with duplicates at
-    corners merged.  May be empty when the circle misses the perimeter.
-    An edge whose line lies farther than r + 2 tol from the center cannot
-    yield a hit, so its quadratic is not solved.
+    Returns (point, arclength) pairs side by side, counter-clockwise from
+    the bottom side, each side's hits in the order of its direction.  A
+    side's two roots within tol of each other are one hit; hits of two
+    sides at a corner are both kept.  May be empty when the circle misses
+    the perimeter.  A side whose line lies farther than r + 2 tol from
+    the center cannot yield a hit, so its quadratic is not solved.
     """
     tol = domain.geom_tol
     period = domain.perimeter
     reach = r + 2.0 * tol
     cx, cy = center
     rr = r * r
+    # the sides whose line lies within reach, in the order of domain.edges;
+    # tested on the domain's bounds, the constant coordinates of those lines
+    bottom, right, top, left = domain.edges
+    near = []
+    if abs(cy - domain.y_min) <= reach:
+        near.append(bottom)
+    if abs(cx - domain.x_max) <= reach:
+        near.append(right)
+    if abs(cy - domain.y_max) <= reach:
+        near.append(top)
+    if abs(cx - domain.x_min) <= reach:
+        near.append(left)
     hits: list[tuple[XY, float]] = []
-    for edge in domain.edges:
-        (ax, ay), edge_len, s_edge, axis, dx, dy, _, t_tol = edge
-        if abs(cy - ay if axis else cx - ax) > reach:
+    for (ax, ay), edge_len, s_edge, dx, dy, a, t_tol in near:
+        # the parameters t0 <= t1 where the side's line start + t (dx, dy)
+        # crosses the circle: a t^2 + b t + c = 0
+        fx, fy = ax - cx, ay - cy
+        b = 2.0 * (fx * dx + fy * dy)
+        c = fx * fx + fy * fy - rr
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
             continue
-        roots = side_circle_roots(edge, cx, cy, rr)
-        if roots is None:
-            continue
-        t0, t1 = roots
+        sq = math.sqrt(disc)
+        t0 = (-b - sq) / (2.0 * a)
+        t1 = (-b + sq) / (2.0 * a)
         t_lo, t_hi = -t_tol, 1.0 + t_tol
         if t_lo <= t0 <= t_hi:
             t0 = 0.0 if t0 < 0.0 else 1.0 if t0 > 1.0 else t0
@@ -285,62 +274,28 @@ def perimeter_circle_intersection(
                 hits.append(
                     ((ax + t1 * dx, ay + t1 * dy), (s_edge + t1 * edge_len) % period)
                 )
-    hits.sort(key=itemgetter(1))
-    deduped: list[tuple[XY, float]] = []
-    for p, s in hits:
-        if deduped and distance(deduped[-1][0], p) <= tol:
-            continue
-        deduped.append((p, s))
-    if len(deduped) > 1 and distance(deduped[0][0], deduped[-1][0]) <= tol:
-        deduped.pop()
-    return deduped
+    return hits
 
 
-def step_along_side(
+def rim_step(
     domain: Domain, center: XY, s: float, r: float
 ) -> tuple[XY, float, float] | None:
-    """The perimeter walk's next rim point, found on the centre's side alone.
+    """The perimeter walk's next rim point: (point, arclength, step).
 
-    center is a rim point on one side, at arclength s; the walk moves
-    counter-clockwise.  When exactly one side lies within reach of the
-    circle of radius r (r plus 2 tol, the test
-    `perimeter_circle_intersection` skips a side by), that side holds
-    every hit the full search finds.  Sides run counter-clockwise, so the
-    hit ahead is the side's root t1, and the other root lies behind.
-    Returns (point, arclength, step), with step the wrapped arclength
-    advance: the very hit, bit for bit, that the full search and the
-    nearest-ahead rule pick.  Returns None where only the full search
-    decides: two sides within reach (a corner), no side, a missed, merged
-    or off-side root, or a step not beyond tol.
+    center is a rim point at arclength s, and the walk moves
+    counter-clockwise.  Of the hits `perimeter_circle_intersection` finds,
+    returns the nearest one more than tol ahead, step being the arclength
+    advance from s wrapped into (-P/2, P/2]; equal steps go to the lesser
+    (arclength, point).  Returns None when no hit lies ahead.
     """
     tol = domain.geom_tol
-    reach = r + 2.0 * tol
-    cx, cy = center
-    # perimeter_circle_intersection's reach test, reading each side's
-    # line from the bounds its start corner in domain.edges was built from
-    bottom = abs(cy - domain.y_min) <= reach
-    right = abs(cx - domain.x_max) <= reach
-    top = abs(cy - domain.y_max) <= reach
-    left = abs(cx - domain.x_min) <= reach
-    if bottom + right + top + left != 1:
-        return None
-    side = domain.edges[0 if bottom else 1 if right else 2 if top else 3]
-    roots = side_circle_roots(side, cx, cy, r * r)
-    if roots is None:
-        return None
-    (ax, ay), edge_len, s_edge, _, dx, dy, _, t_tol = side
-    t0, t = roots
-    if t - t0 <= t_tol:
-        return None
-    if not -t_tol <= t <= 1.0 + t_tol:
-        return None
-    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
     period = domain.perimeter
-    s_next = (s_edge + t * edge_len) % period
-    # the step from s to s_next, wrapped into (-P/2, P/2]
-    d = (s_next - s) % period
-    if d > 0.5 * period:
-        d -= period
-    if d <= tol:
-        return None
-    return (ax + t * dx, ay + t * dy), s_next, d
+    p_best = s_best = None
+    d_best = math.inf
+    for p, s_hit in perimeter_circle_intersection(domain, center, r):
+        d = (s_hit - s) % period
+        if d > 0.5 * period:
+            d -= period
+        if tol < d < d_best or (d == d_best and (s_hit, p) < (s_best, p_best)):
+            p_best, s_best, d_best = p, s_hit, d
+    return None if p_best is None else (p_best, s_best, d_best)

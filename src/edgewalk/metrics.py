@@ -66,13 +66,14 @@ def _as_array(points) -> np.ndarray:
 
 
 def _block_min(
-    q: np.ndarray, p: np.ndarray, lo: np.ndarray, side: float
-) -> tuple[np.ndarray, np.ndarray]:
+    q: np.ndarray, p: np.ndarray, lo: np.ndarray, side: float, both: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Least squared distances between q and p within 3 x 3 cell blocks.
 
     Returns, for each point of q, the least dx*dx + dy*dy to the points of
-    p in its block of cells of the given side, cells counted from lo, and
-    the same for each point of p; inf where the block is empty.
+    p in its block of cells of the given side, cells counted from lo, and,
+    when both is set, the same for each point of p (None otherwise); inf
+    where the block is empty.
     """
     # a ring of empty cells round the occupied ones, so a key's neighbours
     # never wrap onto the next column
@@ -120,37 +121,47 @@ def _block_min(
         dy = qy[i] - py[j]
         d2 = dx * dx + dy * dy
         np.minimum.at(best_q, rows[r0:r1], np.minimum.reduceat(d2, offset))
-        np.minimum.at(best_p, j, d2)
+        if both:
+            np.minimum.at(best_p, j, d2)
     out_q = np.empty_like(best_q)
     out_q[oq] = best_q
+    if not both:
+        return out_q, None
     out_p = np.empty_like(best_p)
     out_p[op] = best_p
     return out_q, out_p
 
 
-def _nearest(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact nearest-neighbour distances from a to b and from b to a."""
+def _nearest(
+    a: np.ndarray, b: np.ndarray, both: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Exact nearest-neighbour distances from a to b and from b to a.
+
+    With both unset, only those from a to b are searched, and the second
+    value is None.
+    """
     lo = np.minimum(a.min(axis=0), b.min(axis=0))
     extent = float((np.maximum(a.max(axis=0), b.max(axis=0)) - lo).max())
     side = 4.0 * extent / min(len(a), len(b))
     if not side > 0.0:
         # every point coincides, or the side underflowed
         side = extent or 1.0
-    best_a, best_b = _block_min(a, b, lo, side)
+    best_a, best_b = _block_min(a, b, lo, side, both)
     open_a = np.arange(len(a))
-    open_b = np.arange(len(b))
+    open_b = np.arange(len(b) if both else 0)
     while True:
         reach = (side * _REACH) ** 2
         open_a = open_a[best_a[open_a] > reach]
-        open_b = open_b[best_b[open_b] > reach]
+        if both:
+            open_b = open_b[best_b[open_b] > reach]
         if side >= extent or not (open_a.size or open_b.size):
             break
         side *= 2.0
         if open_a.size:
-            best_a[open_a] = _block_min(a[open_a], b, lo, side)[0]
+            best_a[open_a] = _block_min(a[open_a], b, lo, side, False)[0]
         if open_b.size:
-            best_b[open_b] = _block_min(b[open_b], a, lo, side)[0]
-    return np.sqrt(best_a), np.sqrt(best_b)
+            best_b[open_b] = _block_min(b[open_b], a, lo, side, False)[0]
+    return np.sqrt(best_a), (np.sqrt(best_b) if both else None)
 
 
 @dataclass
@@ -167,7 +178,7 @@ class ReferenceBoundary:
     source: str = "scalar"
 
     def nn_distances(self, points) -> np.ndarray:
-        return _nearest(_as_array(points), _as_array(self.points))[0]
+        return _nearest(_as_array(points), _as_array(self.points), both=False)[0]
 
 
 def reference_from_scalar(

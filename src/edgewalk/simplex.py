@@ -166,13 +166,6 @@ def _validate_rhs(b, m):
     return b
 
 
-def _validate(c, A, b, lo, hi):
-    """The checks of BoundedLP and of one solve, on all five inputs."""
-    A, lo, hi = _validate_program(A, lo, hi)
-    m, n = A.shape
-    return _validate_cost(c, n), A, _validate_rhs(b, m), lo, hi
-
-
 def _read_only(a):
     a = np.array(a, dtype=float)
     a.setflags(write=False)

@@ -14,13 +14,12 @@ two circles, as above.  When its test point falls outside the domain, a
 rim episode begins: the walk steps counter-clockwise along the domain
 perimeter, keeping the interior set on its left as the decision steps
 do, until it finds an exterior point, then goes back to decision steps.
-An episode enters the rim with a search of all four sides
-(`perimeter_circle_intersection`).  Each later rim step starts from a rim
-point on one side, and while no other side's line lies within reach of
-its circle it steps along that side alone (`step_along_side`), in
-constant time; at corners, and wherever that step cannot decide, the
-full search and the nearest-ahead rule take the step.  Both pick the
-same point, bit for bit.  The walk's state is small: the mode, the rim
+An episode enters the rim at a hit of the search of all four sides
+(`perimeter_circle_intersection`), and each later rim step is one call
+of `rim_step`: the nearest hit of that search more than tol ahead,
+counter-clockwise, on one side or round a corner alike.  The search
+solves only the sides within reach of the circle, one side away from the
+corners.  The walk's state is small: the mode, the rim
 arclength, the arclength the current episode has covered, whether the
 walk has escaped its start, and the two closure targets of a walk that
 starts on the rim (below).  Every test point of either mode is yielded
@@ -72,13 +71,12 @@ three drives for the per-phase counts and builds the estimate once.
 Each step is one pass of float arithmetic, and the containment and
 closure tests are inline comparisons.  Each step leaves the pair epsilon
 apart, and the bisection leaves it between epsilon/2 and epsilon apart
-unless the seeds start closer.  So a decision step takes the first point
-`circle_circle_intersection` returns, the one left of inner-to-outer: it
-lies about 0.87 epsilon left of the pair and the other one as far right,
-and `select_forward` runs only when fewer than two points come back.  And
-a step cannot repeat the last test point: the next one lies epsilon
-from both ends of the pair, one of them the last test point, and epsilon
-exceeds twice the geometric tolerance.  `EdgeConfig.validate_for` refuses
+unless the seeds start closer.  So the two circles always cross, and a
+decision step takes the one point `circle_circle_intersection` returns,
+the crossing left of inner-to-outer, about 0.87 epsilon left of the
+pair.  And a step cannot repeat the last test point: the next one lies
+epsilon from both ends of the pair, one of them the last test point, and
+epsilon exceeds twice the geometric tolerance.  `EdgeConfig.validate_for` refuses
 explicit seeds within that tolerance of each other, an epsilon of at
 most twice it, one too small for the float spacing of the domain's
 coordinates to resolve, and one too small for a rim step to resolve
@@ -120,6 +118,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, islice, repeat
+from operator import itemgetter
 
 from .classifier import Classifier
 from .errors import (
@@ -137,9 +136,11 @@ from .geometry import (
     distance,
     midpoint,
     perimeter_circle_intersection,
-    select_forward,
-    step_along_side,
+    rim_step,
 )
+
+# select_forward stays importable here: bench/tracing.py wraps walk.select_forward
+from .geometry import select_forward  # noqa: F401
 
 
 # Point2(x, y) runs a Python-level __new__; this builds the same Point2
@@ -201,8 +202,9 @@ class EdgeConfig:
         those.
 
         And a rim step must resolve epsilon against the side it
-        stands on.  `side_circle_roots` solves a t^2 + b t + c = 0 for a
-        side of length L, a = L^2, around a centre at distance f, at most
+        stands on.  `perimeter_circle_intersection` solves
+        a t^2 + b t + c = 0 for a side of length L, a = L^2, around a
+        centre at distance f, at most
         about L, from the side's start: the discriminant b^2 - 4ac, which
         should be 4 L^2 epsilon^2, is the difference of two terms of about
         4 L^2 f^2.  Rounding f^2, c, a, b, b^2 and 4ac, each off by at most
@@ -427,9 +429,21 @@ def _rim_entry(
     """Where a rim episode starts: (point, arclength).
 
     Of the perimeter points at distance epsilon from in_end, the episode
-    starts at the one farther from out_end.
+    starts at the one farther from out_end, the first of equals.  They
+    are sorted by arclength, and a hit within tol of the last one kept is
+    dropped, and so is the last when within tol of the first: where two
+    sides meet at a corner, or in a tie, which hit the entry takes then
+    does not depend on the order the search found them in.
     """
-    cands = perimeter_circle_intersection(domain, in_end, epsilon)
+    tol = domain.geom_tol
+    cands: list[tuple[XY, float]] = []
+    for p, s in sorted(
+        perimeter_circle_intersection(domain, in_end, epsilon), key=itemgetter(1)
+    ):
+        if not cands or distance(cands[-1][0], p) > tol:
+            cands.append((p, s))
+    if len(cands) > 1 and distance(cands[0][0], cands[-1][0]) <= tol:
+        cands.pop()
     if not cands:
         raise GeometricFailureError(
             f"no perimeter point at distance {epsilon} from {in_end}"
@@ -447,16 +461,14 @@ def _walk_points(
     one of two modes.  A decision step intersects the epsilon-circles
     around the latest inner and outer points and takes the intersection
     lying ahead of the pair (on the left of the inner-to-outer
-    direction), the first of the two.  When that point falls outside the
-    domain, a rim episode begins where `_rim_entry` puts it, and the walk
-    steps counter-clockwise along the perimeter, each step the nearest
-    perimeter point more than tol ahead at distance epsilon, until it
-    finds an exterior point and resumes decision steps.  Away from
-    corners `step_along_side` finds that step on the current side alone;
-    where two sides lie within reach, or the on-side step cannot decide,
-    `perimeter_circle_intersection` searches all four sides for it.
-    An episode whose steps add up to the whole perimeter raises
-    FullPerimeterError.
+    direction), the one `circle_circle_intersection` returns.  When that
+    point falls outside the domain, a rim episode begins where
+    `_rim_entry` puts it, and the walk steps counter-clockwise along the
+    perimeter, each step the nearest perimeter point more than tol ahead
+    at distance epsilon, as `rim_step` finds it, until it finds an
+    exterior point and resumes decision steps.  A rim step with no point
+    ahead raises GeometricFailureError, and an episode whose steps add up
+    to the whole perimeter raises FullPerimeterError.
 
     Every test point is yielded at one site.  The closure tests run there
     after a decision step or a rim exit, and the escape test alone after
@@ -472,7 +484,6 @@ def _walk_points(
     """
     tol = domain.geom_tol
     period = domain.perimeter
-    half_period = 0.5 * period
     hypot = math.hypot
     x_lo, x_hi = domain.x_min - tol, domain.x_max + tol
     y_lo, y_hi = domain.y_min - tol, domain.y_max + tol
@@ -496,40 +507,20 @@ def _walk_points(
     s_cur = span = 0.0
     while True:
         if on_rim:
-            step = step_along_side(domain, in_end, s_cur, epsilon)
-            if step is not None:
-                x_test, s_new, d_new = step
-            else:
-                # a corner, or a step the one side cannot decide: the
-                # nearest hit ahead among all sides, as min() over
-                # (delta, s, point) would pick it
-                d_new = math.inf
-                for p, s in perimeter_circle_intersection(domain, in_end, epsilon):
-                    # the step from s_cur to s, wrapped into (-P/2, P/2]
-                    d = (s - s_cur) % period
-                    if d > half_period:
-                        d -= period
-                    if tol < d < d_new or (d == d_new and (s, p) < (s_new, x_test)):
-                        d_new, s_new, x_test = d, s, p
-                if d_new == math.inf:
-                    raise GeometricFailureError(
-                        "domain walk found no forward perimeter point "
-                        f"from {in_end}"
-                    )
-            span += d_new
+            step = rim_step(domain, in_end, s_cur, epsilon)
+            if step is None:
+                raise GeometricFailureError(
+                    f"domain walk found no forward perimeter point from {in_end}"
+                )
+            x_test, s_cur, d = step
+            span += d
             if span >= period:
                 raise FullPerimeterError(
                     "perimeter walk traversed the full domain boundary without "
                     "leaving the interior set"
                 )
-            s_cur = s_new
         else:
-            cands = circle_circle_intersection(in_end, out_end, epsilon, tol)
-            if len(cands) == 2:
-                # the forward point comes first (see the module docstring)
-                x_test = cands[0]
-            else:
-                x_test = select_forward(in_end, out_end, cands, tol)
+            x_test = circle_circle_intersection(in_end, out_end, epsilon, tol)
             x, y = x_test
             if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
                 # the boundary ran off the domain: enter the rim

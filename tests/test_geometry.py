@@ -62,29 +62,22 @@ class TestDomain:
 
 class TestCircleCircleIntersection:
     def test_standard_two_point_case(self):
-        pts = circle_circle_intersection(
-            Point2(0.0, 0.0), Point2(1.0, 0.0), 1.0, 1e-12
-        )
-        assert len(pts) == 2
-        assert all(type(p) is tuple for p in pts)
-        h = math.sqrt(3.0) / 2.0
-        # left of the center-to-center direction comes first
-        assert pts[0][0] == pytest.approx(0.5)
-        assert pts[0][1] == pytest.approx(h)
-        assert pts[1][1] == pytest.approx(-h)
+        p = circle_circle_intersection(Point2(0.0, 0.0), Point2(1.0, 0.0), 1.0, 1e-12)
+        assert type(p) is tuple
+        # the crossing left of the center-to-center direction
+        assert p[0] == pytest.approx(0.5)
+        assert p[1] == pytest.approx(math.sqrt(3.0) / 2.0)
+        # and the mirror one from the other side
+        q = circle_circle_intersection(Point2(1.0, 0.0), Point2(0.0, 0.0), 1.0, 1e-12)
+        assert q == (p[0], -p[1])
 
-    def test_tangent_gives_single_midpoint(self):
-        pts = circle_circle_intersection(
-            Point2(0.0, 0.0), Point2(2.0, 0.0), 1.0, 1e-9
-        )
-        assert len(pts) == 1
-        assert pts[0] == Point2(1.0, 0.0)
+    def test_tangent_has_no_forward_point(self):
+        with pytest.raises(NoForwardCandidateError):
+            circle_circle_intersection(Point2(0.0, 0.0), Point2(2.0, 0.0), 1.0, 1e-9)
 
     def test_disjoint_gives_nothing(self):
-        assert (
+        with pytest.raises(NoForwardCandidateError):
             circle_circle_intersection(Point2(0.0, 0.0), Point2(5.0, 0.0), 1.0, 1e-12)
-            == []
-        )
 
     def test_coincident_centers_raise(self):
         with pytest.raises(CoincidentCentersError):
@@ -98,9 +91,9 @@ class TestCircleCircleIntersection:
             d = float(rng.uniform(0.2, 1.8)) * r
             ang = float(rng.uniform(0, 2 * math.pi))
             c2 = Point2(c1.x + d * math.cos(ang), c1.y + d * math.sin(ang))
-            for p in circle_circle_intersection(c1, c2, r, 1e-12):
-                assert distance(p, c1) == pytest.approx(r, abs=1e-9)
-                assert distance(p, c2) == pytest.approx(r, abs=1e-9)
+            p = circle_circle_intersection(c1, c2, r, 1e-12)
+            assert distance(p, c1) == pytest.approx(r, abs=1e-9)
+            assert distance(p, c2) == pytest.approx(r, abs=1e-9)
 
 
 class TestSelectForward:
@@ -147,13 +140,17 @@ class TestPerimeterCircleIntersection:
             assert p == pytest.approx(want_p, abs=1e-12)
             assert s == pytest.approx(want_s, abs=1e-12)
 
-    def test_corner_crossings_deduplicate(self):
-        # circle through two opposite corners of the unit square
+    def test_corner_crossings_come_once_per_side(self):
+        # circle through two opposite corners of the unit square: each
+        # corner is a hit of both sides that meet there
         d = Domain(0.0, 1.0, 0.0, 1.0)
         hits = perimeter_circle_intersection(d, Point2(0.0, 0.0), 1.0)
-        assert len(hits) == 2
-        assert hits[0][0] == pytest.approx(Point2(1.0, 0.0), abs=1e-9)
-        assert hits[1][0] == pytest.approx(Point2(0.0, 1.0), abs=1e-9)
+        assert hits == [
+            (Point2(1.0, 0.0), 1.0),
+            (Point2(1.0, 0.0), 1.0),
+            (Point2(0.0, 1.0), 3.0),
+            (Point2(0.0, 1.0), 3.0),
+        ]
 
     def test_small_circle_on_one_edge(self):
         d = Domain(0.0, 4.0, 0.0, 4.0)

@@ -324,6 +324,9 @@ def test_nearest_matches_the_kd_tree(pair):
     want_ab, want_ba = _kd_nearest(a, b)
     assert np.array_equal(d_ab, want_ab)
     assert np.array_equal(d_ba, want_ba)
+    # the one-way search, as nn_distances runs it, gives the same a to b
+    one_way, none = metrics._nearest(a, b, both=False)
+    assert np.array_equal(one_way, want_ab) and none is None
 
 
 def _kd_asd(side, points):

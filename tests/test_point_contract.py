@@ -23,6 +23,7 @@ from edgewalk.geometry import (
     circle_circle_intersection,
     midpoint,
     perimeter_circle_intersection,
+    rim_step,
     select_forward,
 )
 from edgewalk.grid import run_grid
@@ -66,11 +67,9 @@ def test_every_estimate_point_is_a_point2(seeds, record_queries):
 
 def test_geometry_returns_plain_tuples():
     a, b = Point2(0.0, 0.0), Point2(1.0, 0.0)
-    pts = circle_circle_intersection(a, b, 1.0, 1e-12)
-    assert len(pts) == 2 and all(type(p) is tuple for p in pts)
-    assert type(select_forward(a, b, pts, 1e-12)) is tuple
-    tangent = circle_circle_intersection(a, Point2(2.0, 0.0), 1.0, 1e-9)
-    assert tangent == [(1.0, 0.0)] and type(tangent[0]) is tuple
+    forward = circle_circle_intersection(a, b, 1.0, 1e-12)
+    assert type(forward) is tuple
+    assert type(select_forward(a, b, [forward], 1e-12)) is tuple
     assert type(midpoint(a, b)) is tuple
     hits = perimeter_circle_intersection(SQUARE, Point2(0.9, 0.0), 0.5)
     assert len(hits) == 2
@@ -78,6 +77,8 @@ def test_geometry_returns_plain_tuples():
     hits = perimeter_circle_intersection(SQUARE, Point2(0.0, 0.0), 1.2)
     assert len(hits) == 8
     assert all(type(p) is tuple for p, _ in hits)
+    step = rim_step(SQUARE, Point2(0.0, -1.0), 1.0, 0.5)
+    assert step == ((0.5, -1.0), 1.5, 0.5) and type(step[0]) is tuple
 
 
 def test_grid_queries_plain_tuples_and_keeps_float_arrays(record_queries):

@@ -3,14 +3,19 @@
 `perimeter_circle_intersection` reads the sides from the domain's cached
 `edges`, skips every side whose line lies out of the circle's reach and
 solves the quadratic inline; `circle_circle_intersection`, the walk's
-forward step, and `select_forward`, which names the forward point,
+forward point, and `select_forward`, the general rule that names it,
 compute the midpoint, the distance and the offsets inline.  The
 versions below solve all four sides, build the midpoint as a point and
-call `distance` and the `cross` below; they are the oracle, and the fast
-ones must return exactly equal results and raise the same errors.  `step_along_side`, the perimeter walk's step
-from a centre on one side, must return the very hit that the full search
-plus the nearest-ahead rule picks, bit for bit, whenever it does not
-leave the step to them.
+call `distance`; they are the oracle, and the fast ones must return
+exactly equal results and raise the same errors.
+
+The tests also keep the contracts the walk used to read: both circle
+crossings, picked by `select_forward`, and the rim hits sorted by
+arclength with the hits of two sides at a corner merged.  `rim_step`,
+the perimeter walk's step, must return the very hit, bit for bit, that
+the merged search plus the nearest-ahead rule picks, and the walk's rim
+entry must pick from the hits as found what it picked from the merged
+ones.
 """
 
 import math
@@ -20,7 +25,11 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from edgewalk.errors import CoincidentCentersError, NoForwardCandidateError
+from edgewalk.errors import (
+    CoincidentCentersError,
+    GeometricFailureError,
+    NoForwardCandidateError,
+)
 from edgewalk.geometry import (
     Domain,
     Point2,
@@ -28,9 +37,10 @@ from edgewalk.geometry import (
     distance,
     midpoint,
     perimeter_circle_intersection,
+    rim_step,
     select_forward,
-    step_along_side,
 )
+from edgewalk.walk import _rim_entry
 
 
 def cross(o, a, b):
@@ -80,25 +90,15 @@ def oracle_circle_circle_intersection(c1, c2, r, tol):
     ]
 
 
-def oracle_select_forward(inner_end, outer_end, candidates, tol):
-    base = distance(inner_end, outer_end)
-    if base <= tol:
-        raise CoincidentCentersError(
-            f"walk endpoints {inner_end} and {outer_end} coincide within {tol}"
-        )
-    best = None
-    best_offset = tol
-    for cand in candidates:
-        offset = cross(inner_end, outer_end, cand) / base
-        if offset > best_offset:
-            best = cand
-            best_offset = offset
-    if best is None:
+def oracle_forward_point(c1, c2, r, tol):
+    """The first of two crossings; fewer have no point forward of c1->c2."""
+    cands = oracle_circle_circle_intersection(c1, c2, r, tol)
+    if len(cands) < 2:
         raise NoForwardCandidateError(
-            f"no candidate among {candidates} lies forward of "
-            f"({inner_end}, {outer_end})"
+            f"circles of radius {r} about {c1} and {c2} cross at no point "
+            f"forward of them"
         )
-    return best
+    return cands[0]
 
 
 def _oracle_segment_circle_hits(ax, ay, bx, by, center, r, tol):
@@ -122,7 +122,8 @@ def _oracle_segment_circle_hits(ax, ay, bx, by, center, r, tol):
     return out
 
 
-def oracle_perimeter_circle_intersection(domain, center, r):
+def oracle_rim_hits(domain, center, r):
+    """Every side's hits, side by side from the bottom one."""
     tol = 1e-9 * max(1.0, domain.diagonal)
     perimeter = 2.0 * (domain.width + domain.height)
     cs = (
@@ -140,9 +141,17 @@ def oracle_perimeter_circle_intersection(domain, center, r):
             p = Point2(a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
             hits.append((p, (s_edge + t * edge_len) % perimeter))
         s_edge += edge_len
-    hits.sort(key=lambda h: h[1])
+    return hits
+
+
+def merged_hits(hits, tol):
+    """Rim hits as `perimeter_circle_intersection` returned them before.
+
+    Sorted by arclength; a hit within tol of the last one kept is
+    dropped, and so is the last when within tol of the first.
+    """
     deduped = []
-    for p, s in hits:
+    for p, s in sorted(hits, key=lambda h: h[1]):
         if deduped and distance(deduped[-1][0], p) <= tol:
             continue
         deduped.append((p, s))
@@ -183,9 +192,9 @@ def test_rim_hits_equal_oracle(data):
     center = data.draw(centres(dom))
     # from 1e-4 of the diagonal to beyond it
     r = dom.diagonal * 10.0 ** data.draw(st.floats(-4.0, 0.5))
-    assert perimeter_circle_intersection(
+    assert perimeter_circle_intersection(dom, center, r) == oracle_rim_hits(
         dom, center, r
-    ) == oracle_perimeter_circle_intersection(dom, center, r)
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -204,7 +213,7 @@ def test_rim_hits_equal_oracle_for_tangent_circles(data):
     r = abs(center[axis] - level) * (1.0 + nudge)
     assume(r > 0.0)
     hits = perimeter_circle_intersection(dom, center, r)
-    assert hits == oracle_perimeter_circle_intersection(dom, center, r)
+    assert hits == oracle_rim_hits(dom, center, r)
 
 
 @settings(max_examples=200, deadline=None)
@@ -215,45 +224,47 @@ def test_rim_hits_equal_oracle_at_walk_scale(data):
     s = data.draw(st.floats(0.0, dom.perimeter, exclude_max=True))
     center = point_at(dom, s)
     r = min(dom.width, dom.height) * 10.0 ** data.draw(st.floats(-3.0, -0.01))
-    assert perimeter_circle_intersection(
+    assert perimeter_circle_intersection(dom, center, r) == oracle_rim_hits(
         dom, center, r
-    ) == oracle_perimeter_circle_intersection(dom, center, r)
+    )
 
 
-def test_two_rim_hits_wrap_around_and_merge_at_tol():
+def test_two_rim_hits_wrap_around_side_by_side():
     # the circle cuts the bottom side tol right of the lower-left corner
     # and, by rounding, touches the left side at its end t = 1, whose
-    # arclength wraps to 0: the two hits arrive out of order, exactly tol
-    # apart, and merge into the earlier one
+    # arclength wraps to 0: both hits come back in side order, exactly tol
+    # apart, where the sorted and merged search kept only the left one
     dom = Domain(0.0, 0.5, 0.0, 0.5)
     center = Point2(float.fromhex("0x1.9c511dc3a41ccp-30"), 0.0)
     r = float.fromhex("0x1.12e0be826d66dp-31")
     assert dom.geom_tol == 1e-9
     hits = perimeter_circle_intersection(dom, center, r)
-    assert hits == [(Point2(0.0, 0.0), 0.0)]
-    assert hits == oracle_perimeter_circle_intersection(dom, center, r)
-    # a hair wider, the bottom hit moves out of reach of the merge
+    assert hits == [((1e-9, 0.0), 1e-9), (Point2(0.0, 0.0), 0.0)]
+    assert hits == oracle_rim_hits(dom, center, r)
+    assert merged_hits(hits, dom.geom_tol) == [hits[1]]
+    # a hair wider, the bottom side's two roots part
     wider = math.nextafter(r, math.inf)
     for _ in range(40):
         wider = math.nextafter(wider, math.inf)
     hits = perimeter_circle_intersection(dom, center, wider)
-    assert len(hits) == 2 and hits[0] == (Point2(0.0, 0.0), 0.0)
-    assert hits == oracle_perimeter_circle_intersection(dom, center, wider)
+    assert len(hits) == 3 and hits[2] == (Point2(0.0, 0.0), 0.0)
+    assert hits == oracle_rim_hits(dom, center, wider)
     # two hits of the left side, both clamped to its ends: the second one
-    # wraps to arclength 0 and comes first
+    # wraps to arclength 0
     tall = Domain(0.0, 1.0, 0.0, 4.0)
     center = Point2(0.6, 2.0)
     r = math.hypot(0.6, 2.0 + 0.5 * tall.geom_tol)
     hits = perimeter_circle_intersection(tall, center, r)
-    assert hits == [(Point2(0.0, 0.0), 0.0), (Point2(0.0, 4.0), 6.0)]
-    assert hits == oracle_perimeter_circle_intersection(tall, center, r)
+    assert hits == [(Point2(0.0, 4.0), 6.0), (Point2(0.0, 0.0), 0.0)]
+    assert hits == oracle_rim_hits(tall, center, r)
 
 
 def _circle_outcome(fn, c1, c2, r, tol):
+    """The forward point fn returns, or the type and message of its error."""
     try:
         return fn(c1, c2, r, tol)
-    except CoincidentCentersError:
-        return "coincident"
+    except GeometricFailureError as exc:
+        return type(exc), str(exc)
 
 
 @settings(max_examples=300, deadline=None)
@@ -272,7 +283,7 @@ def test_circle_pair_equals_oracle(x, y, log_r, ratio, angle, tol):
     c2 = Point2(x + d * math.cos(angle), y + d * math.sin(angle))
     assert _circle_outcome(
         circle_circle_intersection, c1, c2, r, tol
-    ) == _circle_outcome(oracle_circle_circle_intersection, c1, c2, r, tol)
+    ) == _circle_outcome(oracle_forward_point, c1, c2, r, tol)
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-9])
@@ -281,29 +292,13 @@ def test_circle_pair_tangent_and_coincident_equal_oracle(tol):
     for c2 in (Point2(2.25, -3.0), Point2(0.25, -1.0), c1):
         assert _circle_outcome(
             circle_circle_intersection, c1, c2, 1.0, tol
-        ) == _circle_outcome(oracle_circle_circle_intersection, c1, c2, 1.0, tol)
-
-
-def _step(intersect, select, c1, c2, r, tol):
-    """The walk's forward step: the crossings, then the forward one."""
-    try:
-        cands = intersect(c1, c2, r, tol)
-    except CoincidentCentersError as exc:
-        return "intersect", type(exc), str(exc)
-    try:
-        return cands, select(c1, c2, cands, tol)
-    except (CoincidentCentersError, NoForwardCandidateError) as exc:
-        return cands, type(exc), str(exc)
+        ) == _circle_outcome(oracle_forward_point, c1, c2, 1.0, tol)
 
 
 def _assert_step_equals_oracle(c1, c2, r, tol):
-    fast = _step(circle_circle_intersection, select_forward, c1, c2, r, tol)
-    oracle = _step(
-        oracle_circle_circle_intersection, oracle_select_forward, c1, c2, r, tol
-    )
-    assert fast == oracle
-    if fast[0] != "intersect":
-        assert all(type(p) is tuple for p in fast[0])
+    fast = _circle_outcome(circle_circle_intersection, c1, c2, r, tol)
+    assert fast == _circle_outcome(oracle_forward_point, c1, c2, r, tol)
+    assert type(fast) is tuple
 
 
 def _nudge(v, ulps):
@@ -376,9 +371,9 @@ def test_forward_step_equals_oracle_at_exact_thresholds(tol):
     ):
         for a, b in ((c1, c2), (c2, c1)):
             _assert_step_equals_oracle(a, b, 1.0, tol)
-    cands = circle_circle_intersection(c1, Point2(1.25, -3.0), 1.0, tol)
-    assert select_forward(c1, Point2(1.25, -3.0), cands, tol) == Point2(
-        0.75, -3.0 + math.sqrt(0.75)
+    assert circle_circle_intersection(c1, Point2(1.25, -3.0), 1.0, tol) == (
+        0.75,
+        -3.0 + math.sqrt(0.75),
     )
 
 
@@ -414,28 +409,37 @@ def decision_step_pairs(draw):
 @settings(max_examples=1000, deadline=None)
 @given(decision_step_pairs())
 def test_forward_point_is_the_first_of_two(pair):
-    # the walk takes cands[0] without select_forward when two come back
+    # the forward point is the crossing select_forward picks of the two,
+    # and where fewer than two come back select_forward only raises
     c1, c2, r, tol, walk = pair
     try:
-        cands = circle_circle_intersection(c1, c2, r, tol)
+        cands = oracle_circle_circle_intersection(c1, c2, r, tol)
     except CoincidentCentersError:
         reject()
     if walk:
         assert len(cands) == 2
     if len(cands) == 2:
         assert select_forward(c1, c2, cands, tol) is cands[0]
+        assert circle_circle_intersection(c1, c2, r, tol) == cands[0]
+        assert cross(c1, c2, cands[0]) > 0.0
+    else:
+        with pytest.raises(NoForwardCandidateError):
+            select_forward(c1, c2, cands, tol)
+        with pytest.raises(NoForwardCandidateError):
+            circle_circle_intersection(c1, c2, r, tol)
 
 
 def nearest_ahead(dom, center, s_cur, r):
-    """The perimeter walk's step by the full search: (point, s, step) or None.
+    """The perimeter walk's step by the merged search: (point, s, step) or None.
 
-    Every hit of the circle on the rim, and of those more than tol ahead,
-    counter-clockwise, the one with the least (step, s, point), as the
-    walk picked it before it stepped along one side.
+    Every hit of the circle on the rim, sorted and merged, and of those
+    more than tol ahead, counter-clockwise, the one with the least
+    (step, s, point): the step the walk took before `rim_step`.
     """
     best = None
     period = dom.perimeter
-    for p, s in perimeter_circle_intersection(dom, center, r):
+    hits = perimeter_circle_intersection(dom, center, r)
+    for p, s in merged_hits(hits, dom.geom_tol):
         # the step from s_cur to s, wrapped into (-P/2, P/2]
         d = (s - s_cur) % period
         if d > 0.5 * period:
@@ -446,17 +450,8 @@ def nearest_ahead(dom, center, s_cur, r):
 
 
 def _bits(step):
-    """A step's floats as hex strings, which tell -0.0 from 0.0."""
-    (x, y), s, d = step
-    return x.hex(), y.hex(), s.hex(), d.hex()
-
-
-def _sides_in_reach(dom, center, r):
-    reach = r + 2.0 * dom.geom_tol
-    return sum(
-        abs(center[1] - e.start[1] if e.axis else center[0] - e.start[0]) <= reach
-        for e in dom.edges
-    )
+    """A step's floats as hex strings, which tell -0.0 from 0.0; None as is."""
+    return step and tuple(v.hex() for v in (*step[0], *step[1:]))
 
 
 @st.composite
@@ -489,8 +484,8 @@ def rim_walk_steps(draw):
         | st.floats(-4.0, -0.5).map(lambda k: short * 10.0**k)
     )
     assume(2.0 * tol < eps < short)
-    (ax, ay), length, s_edge, axis, dx, dy, _, _ = draw(st.sampled_from(dom.edges))
-    along, step = (ax, dx) if axis else (ay, dy)
+    (ax, ay), length, s_edge, dx, dy, _, _ = draw(st.sampled_from(dom.edges))
+    along, step = (ax, dx) if dx else (ay, dy)
     reach = eps + 2.0 * tol
     kind = draw(st.sampled_from(["anywhere", "anywhere", "corner", "reach"]))
     if kind == "anywhere":
@@ -512,43 +507,66 @@ def rim_walk_steps(draw):
 
 @settings(max_examples=1000, deadline=None)
 @given(rim_walk_steps())
-def test_step_along_side_equals_full_search(step):
+def test_rim_step_equals_full_search(step):
     dom, center, s, eps = step
-    fast = step_along_side(dom, center, s, eps)
-    if fast is None:
-        # the walk falls back to the full search; a lone side in reach
-        # falls back only where rounding swamps the radius
-        assert _sides_in_reach(dom, center, eps) != 1 or eps < 1e-6 * dom.diagonal
+    fast = rim_step(dom, center, s, eps)
+    assert _bits(fast) == _bits(nearest_ahead(dom, center, s, eps))
+    # None only where rounding swamps a radius below the rim floor
+    # EdgeConfig.validate_for keeps
+    assert type(fast[0]) is tuple if fast else eps < 1e-6 * dom.diagonal
+
+
+@settings(max_examples=1000, deadline=None)
+@given(rim_walk_steps(), st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 1.0))
+def test_rim_entry_picks_from_raw_hits_as_from_merged(step, angle, k):
+    # the rim entry keeps the hit farthest from the outer end, the first
+    # of equals, of the hits sorted and merged as the search returned
+    # them before; the outer end lies up to epsilon from the centre
+    dom, center, _, eps = step
+    out_end = (center[0] + k * eps * math.cos(angle), center[1] + k * eps * math.sin(angle))
+    merged = merged_hits(perimeter_circle_intersection(dom, center, eps), dom.geom_tol)
+    if not merged:
+        # rounding swamps a radius below the rim floor
+        with pytest.raises(GeometricFailureError):
+            _rim_entry(dom, center, out_end, eps)
         return
-    oracle = nearest_ahead(dom, center, s, eps)
-    assert oracle is not None
-    assert _bits(fast) == _bits(oracle)
-    assert type(fast[0]) is tuple
-    assert _sides_in_reach(dom, center, eps) == 1
+    p, s = _rim_entry(dom, center, out_end, eps)
+    q, t = max(merged, key=lambda ps: distance(ps[0], out_end))
+    assert (p[0].hex(), p[1].hex(), s.hex()) == (q[0].hex(), q[1].hex(), t.hex())
 
 
-def test_step_along_side_picks_the_root_on_the_walks_side():
+def test_rim_entry_takes_one_of_two_equal_corner_hits_by_arclength():
+    # the circle about the lower-right corner of a 1 x 100 domain touches
+    # the lower-left one from the bottom side, at arclength 2 ulps, and
+    # from the left side, whose end wraps to 0: two hits as far from the
+    # outer end, of which the entry takes the one at 0, as it did of the
+    # merged hits, whatever the order the search finds them in
+    dom, center, eps = Domain(16.0, 17.0, 0.0, 100.0), (17.0, 0.0), 0.9999999999999982
+    hits = perimeter_circle_intersection(dom, center, eps)
+    assert hits[0] == ((16.0, 0.0), 1.7763568394002505e-15) and hits[-1] == ((16.0, 0.0), 0.0)
+    assert _rim_entry(dom, center, center, eps) == ((16.0, 0.0), 0.0)
+
+
+def test_rim_step_picks_the_root_on_the_walks_side():
     dom = Domain(0.0, 10.0, 0.0, 7.0)
     # mid-side: counter-clockwise steps to larger s
-    assert step_along_side(dom, (4.0, 0.0), 4.0, 0.5) == ((4.5, 0.0), 4.5, 0.5)
+    assert rim_step(dom, (4.0, 0.0), 4.0, 0.5) == ((4.5, 0.0), 4.5, 0.5)
     # the top side runs from (10, 7), at arclength 17, to the left
-    assert step_along_side(dom, (4.0, 7.0), 23.0, 0.5) == ((3.5, 7.0), 23.5, 0.5)
-    # within reach of the right side's line: the corner is the full search's
-    assert step_along_side(dom, (9.5, 0.0), 9.5, 0.5) is None
-    assert step_along_side(dom, (0.0, 0.0), 0.0, 0.5) is None
-    assert nearest_ahead(dom, (0.0, 0.0), 0.0, 0.5) == ((0.5, 0.0), 0.5, 0.5)
+    assert rim_step(dom, (4.0, 7.0), 23.0, 0.5) == ((3.5, 7.0), 23.5, 0.5)
+    # round a corner: the circle meets the right side at the corner itself
+    assert rim_step(dom, (9.5, 0.0), 9.5, 0.5) == ((10.0, 0.0), 10.0, 0.5)
+    assert rim_step(dom, (0.0, 0.0), 0.0, 0.5) == ((0.5, 0.0), 0.5, 0.5)
     # a centre exactly reach from the right side's line has that side in
-    # reach, as in the full search; one ulp less of radius leaves the
-    # bottom side alone
+    # reach, one ulp less of radius leaves the bottom side alone: the same
+    # step either way
     two_tol = 2.0 * dom.geom_tol
     eps = next(
         e for e in (_nudge(0.5 - two_tol, k) for k in range(-4, 5)) if e + two_tol == 0.5
     )
-    assert step_along_side(dom, (9.5, 0.0), 9.5, eps) is None
-    eps = math.nextafter(eps, 0.0)
-    fast = step_along_side(dom, (9.5, 0.0), 9.5, eps)
-    assert fast is not None
-    assert fast == nearest_ahead(dom, (9.5, 0.0), 9.5, eps)
+    for r in (eps, math.nextafter(eps, 0.0)):
+        assert rim_step(dom, (9.5, 0.0), 9.5, r) == nearest_ahead(dom, (9.5, 0.0), 9.5, r)
+    # a circle inside the rectangle has no hit ahead
+    assert rim_step(dom, (5.0, 3.5), 0.0, 0.5) is None
 
 
 def test_cached_constants_match_their_formulas():
@@ -566,7 +584,6 @@ def test_cached_constants_match_their_formulas():
     assert [(e.dx, e.dy) for e in d.edges] == [(8.0, 0.0), (0.0, 2.5), (-8.0, 0.0), (0.0, -2.5)]
     assert [e.length for e in d.edges] == [8.0, 2.5, 8.0, 2.5]
     assert [e.s_start for e in d.edges] == [0.0, 8.0, 10.5, 18.5]
-    assert [e.axis for e in d.edges] == [1, 0, 1, 0]
 
 
 def test_cached_domain_stays_frozen_with_field_equality():

@@ -20,7 +20,15 @@ from hypothesis import strategies as st
 from edgewalk.dcopf import build_feasibility_lp, default_network, lp_feasible, make_dcopf_classifier
 from edgewalk.errors import InputError, SolverError
 from edgewalk.geometry import Point2
-from edgewalk.simplex import _PIVOT_EPS, BoundedLP, SimplexResult, _validate, solve_bounded_lp
+from edgewalk.simplex import (
+    _PIVOT_EPS,
+    BoundedLP,
+    SimplexResult,
+    _validate_cost,
+    _validate_program,
+    _validate_rhs,
+    solve_bounded_lp,
+)
 from edgewalk.walk import EdgeConfig, Termination, run_edge
 
 
@@ -113,8 +121,9 @@ def _iterate(t: _Tableau, c: np.ndarray, tol: float, max_iter: int, ties: list) 
 
 def seed_solve_bounded_lp(c, A, b, lo, hi, ties, tol=1e-7, max_iter=10000):
     """Minimize c @ x subject to A @ x == b and lo <= x <= hi."""
-    c, A, b, lo, hi = _validate(c, A, b, lo, hi)
+    A, lo, hi = _validate_program(A, lo, hi)
     m, n = A.shape
+    c, b = _validate_cost(c, n), _validate_rhs(b, m)
 
     x0 = lo.copy()
     residual = b - A @ x0
