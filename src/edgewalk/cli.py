@@ -8,12 +8,14 @@ injections.
 
 Exit codes: 0 on success, 1 when an output cannot be written (or for any
 other package error), 2 when no boundary exists in the domain, 3 when the
-query budget dies first, 4 for bad input, 5 for geometric failures.  Each
-error ends in one `error: ...` line on stderr.
-When the budget dies or the geometry fails mid-walk, `run` still writes
-the partial estimate.  `compare` records each walk's termination in its
-`edge_termination` column; when a walk's budget dies first it still
-writes both files, then exits 3.
+query budget dies first, 4 for bad input, 5 for geometric failures.
+`main` is the one place where an error becomes an exit code: each
+subcommand raises, and `main` prints the one `error: ...` line on stderr
+and picks the code.  When the budget dies or the geometry fails
+mid-walk, `run` still writes the partial estimate, then raises.
+`compare` records each walk's termination in its `edge_termination`
+column; when a walk's budget dies first it still writes both files
+before it raises.
 
 `run` writes points.csv, and queries.csv under --log-queries, from the
 estimate alone, with one writer and in one pass over it.  queries.csv
@@ -35,7 +37,6 @@ import sys
 import time
 from collections.abc import Iterable, Iterator
 from contextlib import ExitStack, contextmanager
-from io import StringIO
 from itertools import islice
 from pathlib import Path
 from typing import TextIO
@@ -49,7 +50,6 @@ from .errors import (
     InputError,
     NoBoundaryFoundError,
 )
-from .geometry import Point2
 from .grid import run_grid
 from .marching import check_cell
 from .metrics import asd_to_reference, reference_from_scalar
@@ -63,12 +63,12 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _parse_point(text: str) -> Point2:
+def _parse_point(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise InputError(f"expected a point as 'x,y', got {text!r}")
     try:
-        return Point2(float(parts[0]), float(parts[1]))
+        return float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise InputError(f"bad point {text!r}") from exc
 
@@ -154,7 +154,7 @@ def _write_csvs(estimate, domain, points: TextIO, queries: TextIO | None = None)
             write_query(f"{before_walk + k},{text},{label}\n")
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> None:
     # a bad --reference-cell is refused before the walk spends any query
     if args.reference_cell is not None:
         spec = _scalar_spec(args.classifier)
@@ -179,7 +179,7 @@ def _cmd_run(args) -> int:
     with _replacing(*csvs) as handles:
         _write_csvs(estimate, classifier.domain, *handles)
     # the bracket pair plus the walk's points of each label, counted from
-    # the labels so that no Point2 is built just to be counted
+    # the labels so that no point is built just to be counted
     walk_start = len(estimate.labels) - estimate.walk_queries
     n_inner = 1 + estimate.labels.count(1, walk_start)
     n_outer = 2 + estimate.walk_queries - n_inner
@@ -224,19 +224,15 @@ def _cmd_run(args) -> int:
         f"-> {out / 'points.csv'}"
     )
     if estimate.termination is Termination.BUDGET_EXHAUSTED:
-        print(
-            f"error: the query budget of {config.budget_for(classifier.domain)} "
-            "ran out before the walk closed",
-            file=sys.stderr,
+        raise BudgetExhaustedError(
+            f"the query budget of {config.budget_for(classifier.domain)} "
+            "ran out before the walk closed"
         )
-        return 3
     if estimate.termination is Termination.FAILED:
-        print(f"error: {estimate.failure}", file=sys.stderr)
-        return 5
-    return 0
+        raise GeometricFailureError(estimate.failure)
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> None:
     epsilons = []
     for tok in args.epsilons.split(","):
         tok = tok.strip()
@@ -301,12 +297,10 @@ def _cmd_compare(args) -> int:
             f"/ {grid_wall:.3f}s"
         )
 
-    fields = list(rows[0].keys())
-    buf = StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    _atomic_write(out / "table.csv", [buf.getvalue()])
+    with _replacing(out / "table.csv") as (fh,):
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     _atomic_write(out / "report.json", [json.dumps(rows, indent=2) + "\n"])
     print(f"-> {out / 'table.csv'}")
     exhausted = [
@@ -315,16 +309,13 @@ def _cmd_compare(args) -> int:
         if row["edge_termination"] == Termination.BUDGET_EXHAUSTED.value
     ]
     if exhausted:
-        print(
-            "error: the query budget ran out before the walk closed at "
-            f"epsilon {', '.join(exhausted)}",
-            file=sys.stderr,
+        raise BudgetExhaustedError(
+            "the query budget ran out before the walk closed at "
+            f"epsilon {', '.join(exhausted)}"
         )
-        return 3
-    return 0
 
 
-def _cmd_dispatch(args) -> int:
+def _cmd_dispatch(args) -> None:
     net = load_network(args.network) if args.network else default_network()
     result = dispatch(net, (args.p1, args.p2))
     if args.json:
@@ -340,17 +331,16 @@ def _cmd_dispatch(args) -> int:
             ]
             payload["angles"] = {str(b): a for b, a in result.angles.items()}
         print(json.dumps(payload, indent=2))
-        return 0
+        return
     if not result.feasible:
         print(f"injections ({args.p1:g}, {args.p2:g}): infeasible")
-        return 0
+        return
     print(f"injections ({args.p1:g}, {args.p2:g}): feasible, cost {result.cost:.4f}")
     for g, p in result.generation:
         print(f"  gen at bus {g.bus}: {p:.4f} / {g.capacity:g}")
     for ln, f in result.flows:
         lim = "inf" if ln.limit == float("inf") else f"{ln.limit:g}"
         print(f"  line {ln.from_bus}-{ln.to_bus}: {f:+.4f} / {lim}")
-    return 0
 
 
 def _add_classifier_arg(p: argparse.ArgumentParser) -> None:
@@ -411,26 +401,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each error class, the first match winning; any other
+# package error, and an output that cannot be written, exits 1
+_EXIT_CODES = (
+    (NoBoundaryFoundError, 2),
+    (BudgetExhaustedError, 3),
+    (InputError, 4),
+    (GeometricFailureError, 5),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except NoBoundaryFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except GeometricFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        args.func(args)
     except (EdgewalkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), 1)
+    return 0
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ arclength s in [0, P), counter-clockwise, starting at the lower-left corner
 (x_min, y_min).  All perimeter-related helpers share this convention.
 
 A Domain is immutable, so it computes its derived constants (perimeter,
-geometric tolerance, corners and edges) once, on first use, and keeps them;
-the walk reads them on every perimeter step.
+geometric tolerance and edges) once, on first use, and keeps them; the
+walk reads them on every perimeter step.
 
 A walk step is one pass of float arithmetic: `circle_circle_intersection`
 for the step between two epsilon-circles, which returns the one forward
@@ -20,14 +20,14 @@ only for those whose line lies within the circle's reach; it returns the
 hits as it finds them, side by side, and the walk's rim entry and
 `rim_step` each pick the one they need.
 
-Point contract: the step functions and `midpoint` take any (x, y) pair and
-return plain `(x, y)` tuples.  Most of the points they build are thrown
-away at once, and a plain tuple is cheaper to build than a `Point2`.  It
-is also cheaper to keep: the cyclic GC stops tracking a tuple of floats,
-but never a `Point2`, a tuple subclass, so every `Point2` kept is
-traversed again in each full collection.  The walk queries the plain
-tuples, and its estimate packs the points it logs into one float array,
-building `Point2`s only when `inner` or `outer` is asked for.
+Point contract: every point is a plain `(x, y)` tuple, except in a
+walk estimate's `inner` and `outer`, which stay lists of `Point2`
+because the benchmark reads their `.x` and `.y`.  The step functions and
+`midpoint` take any (x, y) pair and return plain tuples, and so do a
+domain's `corners()` and `center`.  A plain tuple is cheaper to build
+than a `Point2`, and cheaper to keep: the cyclic GC stops tracking a
+tuple of floats, but never a `Point2`, a tuple subclass, so every
+`Point2` kept is traversed again in each full collection.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class Edge(NamedTuple):
     tolerance t_tol in units of the segment parameter.
     """
 
-    start: Point2
+    start: XY
     length: float
     s_start: float
     dx: float
@@ -108,31 +108,27 @@ class Domain:
         return 2.0 * (self.width + self.height)
 
     @property
-    def center(self) -> Point2:
-        return Point2(0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max))
+    def center(self) -> XY:
+        return 0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max)
 
     @cached_property
     def geom_tol(self) -> float:
         """Geometric tolerance used for containment and dedup decisions."""
         return 1e-9 * max(1.0, self.diagonal)
 
-    def corners(self) -> tuple[Point2, Point2, Point2, Point2]:
+    def corners(self) -> tuple[XY, XY, XY, XY]:
         """Corners counter-clockwise from the lower-left."""
-        return self._corners
-
-    @cached_property
-    def _corners(self) -> tuple[Point2, Point2, Point2, Point2]:
         return (
-            Point2(self.x_min, self.y_min),
-            Point2(self.x_max, self.y_min),
-            Point2(self.x_max, self.y_max),
-            Point2(self.x_min, self.y_max),
+            (self.x_min, self.y_min),
+            (self.x_max, self.y_min),
+            (self.x_max, self.y_max),
+            (self.x_min, self.y_max),
         )
 
     @cached_property
     def edges(self) -> tuple[Edge, Edge, Edge, Edge]:
         """The four sides counter-clockwise, the bottom one first."""
-        cs = self._corners
+        cs = self.corners()
         tol = self.geom_tol
         edges = []
         s_start = 0.0

@@ -29,8 +29,6 @@ class GridEstimate:
 
     inner: np.ndarray
     outer: np.ndarray
-    nx: int
-    ny: int
     total_queries: int
 
 
@@ -77,7 +75,5 @@ def run_grid(c: Classifier, epsilon: float) -> GridEstimate:
     return GridEstimate(
         inner=corner + np.argwhere(interior & differs)[:, ::-1] * epsilon,
         outer=corner + np.argwhere(~interior & differs)[:, ::-1] * epsilon,
-        nx=nx,
-        ny=ny,
         total_queries=total,
     )

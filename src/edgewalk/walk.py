@@ -85,28 +85,30 @@ death or a geometric failure anywhere in the walk, rim episodes
 included, ends it with termination `budget_exhausted` or `failed` and
 keeps the partial estimate.
 
-Point contract: the geometry builds every candidate point, rim hit and
-bisection midpoint as a plain `(x, y)` tuple, and the run queries that
-tuple as it is.  The run logs every query after the seed scan, in order
-and with its label: the explicit seeds, the bisection midpoints, then
-each walk point, decision or rim; a budget death raises before its query
-reaches the oracle.  The log has its final form from the first query:
+Point contract: every point is a plain `(x, y)` tuple, except in the
+estimate's `inner` and `outer`, which stay lists of `Point2` because the
+benchmark reads their `.x` and `.y`; `BoundaryEstimate._side` builds
+them on first use, the one place that builds a `Point2`.  The seed
+scan's probes, the explicit seeds, every candidate point, rim hit and
+bisection midpoint are plain tuples, and the run queries each as it is.
+The run logs every query after the seed scan, in order and with its
+label: the explicit seeds, the bisection midpoints, then each walk
+point, decision or rim; a budget death raises before its query reaches
+the oracle.  The log has its final form from the first query:
 `_Budget.xy`, one `array('d')` of interleaved x and y, which the driver
-extends with the tuple it queried, beside the `labels` bytearray,
-and `run_edge` hands both to the `BoundaryEstimate` as they are.  So
-neither a run nor its estimate holds a Python object per query: a
-finished estimate keeps 17 bytes a point with its label, a run peaks at
-about 18, and the cyclic GC has nothing of theirs to traverse.  A
-`Point2` is a tuple subclass, which the GC never untracks, so a log of
-them would be traversed in every full collection for as long as the
-estimate lives.  `inner` and `outer` are the one place this module builds
-a `Point2`, on first use.  The scan's probes are the first `seed_queries`
-points of `seed_scan`, all with one label but the last, so the estimate
-keeps only that label, and `BoundaryEstimate.query_log` regenerates
-them.  So the estimate holds every query of a run in memory that grows
-with the boundary, not with the scan, and `edgewalk run --log-queries`
-writes points.csv and queries.csv from it in one pass, formatting each
-walk point once.
+extends with the tuple it queried, beside the `labels` bytearray, and
+`run_edge` hands both to the `BoundaryEstimate` as they are.  So neither
+a run nor its estimate holds a Python object per query: a finished
+estimate keeps 17 bytes a point with its label, a run peaks at about
+18, and the cyclic GC has nothing of theirs to traverse.  A `Point2` is
+a tuple subclass, which the GC never untracks, so a log of them would be
+traversed in every full collection for as long as the estimate lives.
+The scan's probes are the first `seed_queries` points of `seed_scan`,
+all with one label but the last, so the estimate keeps only that label,
+and `BoundaryEstimate.query_log` regenerates them.  So the estimate
+holds every query of a run in memory that grows with the boundary, not
+with the scan, and `edgewalk run --log-queries` writes points.csv and
+queries.csv from it in one pass, formatting each walk point once.
 """
 
 from __future__ import annotations
@@ -586,8 +588,7 @@ def seed_scan(domain: Domain, epsilon: float) -> Iterator[XY]:
 
     The corners, the center, then the cell centers of 2^k x 2^k grids,
     k = 1, 2, ..., row by row, while the cells are no finer than epsilon.
-    The corners and the center are the domain's Point2s; the cell centers
-    are plain (x, y) tuples.
+    Every probe is a plain (x, y) tuple.
     """
     yield from domain.corners()
     yield domain.center

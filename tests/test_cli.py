@@ -18,6 +18,13 @@ from hypothesis import strategies as st
 
 from edgewalk import cli
 from edgewalk.classifier import Classifier, make_classifier
+from edgewalk.errors import (
+    CoincidentCentersError,
+    EmptyContourError,
+    FullPerimeterError,
+    ReferenceResolutionError,
+    SolverError,
+)
 from edgewalk.cli import main
 from edgewalk.geometry import Domain, Point2
 from edgewalk.walk import BoundaryEstimate, Termination, seed_scan
@@ -733,6 +740,34 @@ class TestFailedWrites:
         assert sorted(os.listdir(tmp_path)) == ["points.csv", "queries.csv"]
         for name in ("points.csv", "queries.csv"):
             assert (tmp_path / name).read_text() == "earlier\n"
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ReferenceResolutionError("reference too coarse"), 4),
+        (CoincidentCentersError("centers coincide"), 5),
+        (FullPerimeterError("went round the full domain boundary"), 5),
+        (EmptyContourError("no contour in the domain"), 1),
+        (SolverError("no convergence"), 1),
+        (OSError("disk full"), 1),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
+)
+def test_each_error_class_exits_with_its_code(
+    tmp_path, monkeypatch, capsys, error, code
+):
+    """main maps an error a subcommand raises to its code and one error line."""
+
+    def raising(classifier, config):
+        raise error
+
+    monkeypatch.setattr(cli, "run_edge", raising)
+    argv = ["run", "rosenbrock", "--epsilon", "0.2", "--out", str(tmp_path)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
 
 
 def test_logged_run_stays_under_48_bytes_per_query(tmp_path):

@@ -26,7 +26,7 @@ def test_hand_worked_three_by_three():
     dom = Domain(0.0, 1.0, 0.0, 1.0)
     c = make_classifier(lambda x, y: x + y, 0.75, dom, "diag")
     g = run_grid(c, 0.5)
-    assert (g.nx, g.ny) == (3, 3)
+    assert grid_shape(dom, 0.5) == (3, 3)
     assert g.total_queries == 9
     assert c.query_count == 9
     assert g.inner.tolist() == [[0.5, 0.0], [0.0, 0.5]]
@@ -51,7 +51,8 @@ def test_queries_scan_rows_bottom_up(record_queries):
 def test_total_queries_is_grid_size():
     c = make_test_classifier("rosenbrock")
     g = run_grid(c, 0.37)
-    assert g.total_queries == g.nx * g.ny
+    nx, ny = grid_shape(c.domain, 0.37)
+    assert g.total_queries == nx * ny
     assert c.query_count == g.total_queries
 
 
@@ -115,7 +116,8 @@ def test_scan_matches_item_by_item_oracle(spec, epsilon, record_queries):
     # the scan hands the oracle plain (x, y) tuples
     assert [_bits(p) for p, _ in log] == [_bits(p) for p, _ in oracle_log]
     assert all(type(p) is tuple for p, _ in log)
-    assert np.array_equal(np.array([lab for _, lab in log]).reshape(g.ny, g.nx), labels)
+    nx, ny = grid_shape(c.domain, epsilon)
+    assert np.array_equal(np.array([lab for _, lab in log]).reshape(ny, nx), labels)
     assert g.total_queries == c.query_count == labels.size
     assert 0 < labels.sum() < labels.size
     assert len(g.inner) and len(g.outer)

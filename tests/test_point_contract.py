@@ -1,14 +1,15 @@
 """Which points are Point2: only the ones inner and outer hand out.
 
-The geometry builds plain (x, y) tuples, and the run queries them as
-they are.  A finished estimate packs every query after the seed scan
-into one float array, xy, beside its labels, so it holds no Python
+Every other point is a plain (x, y) tuple: the geometry's, a domain's
+corners and centre, and so every seed-scan probe, and the run queries
+each as it is.  A finished estimate packs every query after the seed
+scan into one float array, xy, beside its labels, so it holds no Python
 object per point for the cyclic GC to traverse; inner and outer build
 Point2 lists from it on first use.  The grid queries plain tuples and
-keeps its transition points as (n, 2) float arrays.  Each logged point therefore equals the
-point the oracle was handed bit for bit, and the seed scan's probes
-regenerate the same way.  Together they hold every query of the run in
-order, which `run --log-queries` writes.
+keeps its transition points as (n, 2) float arrays.  Each logged point
+therefore equals the point the oracle was handed bit for bit, and the
+seed scan's probes regenerate the same way.  Together they hold every
+query of the run in order, which `run --log-queries` writes.
 """
 
 from array import array
@@ -59,10 +60,19 @@ def test_every_estimate_point_is_a_point2(seeds, record_queries):
     assert "inner" not in vars(est) and "outer" not in vars(est)
     assert any(on_rim(p) for p in est.inner)
     assert all(type(p) is Point2 for p in est.inner + est.outer)
-    # the seeds, the bisection and the walk hand the oracle plain tuples
+    # the scan, the seeds, the bisection and the walk hand the oracle plain tuples
     n_scan = 0 if est.scan_label is None else est.seed_queries
     assert len(log) - n_scan > est.walk_queries > 0
-    assert all(type(p) is tuple for p, _ in log[n_scan:])
+    assert all(type(p) is tuple for p, _ in log)
+    assert all(type(p) is tuple for p in est.pair)
+
+
+def test_domain_corners_and_center_are_plain_tuples():
+    corners = SQUARE.corners()
+    assert corners == ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
+    assert all(type(p) is tuple for p in corners)
+    assert type(SQUARE.center) is tuple and SQUARE.center == (0.0, 0.0)
+    assert all(type(edge.start) is tuple for edge in SQUARE.edges)
 
 
 def test_geometry_returns_plain_tuples():
