@@ -14,8 +14,10 @@ subcommand raises, and `main` prints the one `error: ...` line on stderr
 and picks the code.  When the budget dies or the geometry fails
 mid-walk, `run` still writes the partial estimate, then raises.
 `compare` records each walk's termination in its `edge_termination`
-column; when a walk's budget dies first it still writes both files
-before it raises.
+column and writes a row for every step size, a failed or spent walk's
+included, before it raises; a geometric failure at any step size wins
+over a spent budget.  A grid too coarse to keep a node on the boundary
+leaves its `grid_asd` empty.
 
 `run` writes points.csv, and queries.csv under --log-queries, from the
 estimate alone, with one writer and in one pass over it.  queries.csv
@@ -255,6 +257,7 @@ def _cmd_compare(args) -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
+    failures = []
     for config in configs:
         eps = config.epsilon
         c_edge = _make_classifier(args.classifier)
@@ -262,7 +265,7 @@ def _cmd_compare(args) -> None:
         estimate = run_edge(c_edge, config)
         edge_wall = time.perf_counter() - t0
         if estimate.termination is Termination.FAILED:
-            raise GeometricFailureError(estimate.failure)
+            failures.append(f"the walk failed at epsilon {eps:g}: {estimate.failure}")
 
         c_grid = _make_classifier(args.classifier)
         t0 = time.perf_counter()
@@ -287,9 +290,11 @@ def _cmd_compare(args) -> None:
             row["edge_asd"] = asd_to_reference(
                 estimate.inner, estimate.outer, reference
             ).total
-            row["grid_asd"] = asd_to_reference(
-                grid.inner, grid.outer, reference
-            ).total
+            # a grid too coarse to see the boundary keeps no node to score
+            if len(grid.inner):
+                row["grid_asd"] = asd_to_reference(
+                    grid.inner, grid.outer, reference
+                ).total
         rows.append(row)
         print(
             f"{c_edge.name} eps={eps:g}: edge {estimate.total_queries} queries "
@@ -303,6 +308,8 @@ def _cmd_compare(args) -> None:
         writer.writerows(rows)
     _atomic_write(out / "report.json", [json.dumps(rows, indent=2) + "\n"])
     print(f"-> {out / 'table.csv'}")
+    if failures:
+        raise GeometricFailureError(failures[0])
     exhausted = [
         f"{row['epsilon']:g}"
         for row in rows

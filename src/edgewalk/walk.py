@@ -76,10 +76,12 @@ decision step takes the one point `circle_circle_intersection` returns,
 the crossing left of inner-to-outer, about 0.87 epsilon left of the
 pair.  And a step cannot repeat the last test point: the next one lies
 epsilon from both ends of the pair, one of them the last test point, and
-epsilon exceeds twice the geometric tolerance.  `EdgeConfig.validate_for` refuses
-explicit seeds within that tolerance of each other, an epsilon of at
-most twice it, one too small for the float spacing of the domain's
-coordinates to resolve, and one too small for a rim step to resolve
+epsilon exceeds twice the geometric tolerance, `Domain.geom_tol`: 1e-9
+of the domain's diagonal, but never below 8 times the float spacing of
+its largest coordinate.  `EdgeConfig.validate_for` refuses explicit
+seeds within that tolerance of each other and holds epsilon to two
+floors: above twice the tolerance, which keeps it within what the
+coordinates resolve, and above the smallest step a rim step resolves
 against the side it stands on, so the pair never degenerates.  A budget
 death or a geometric failure anywhere in the walk, rim episodes
 included, ends it with termination `budget_exhausted` or `failed` and
@@ -180,28 +182,12 @@ class EdgeConfig:
     def validate_for(self, domain: Domain) -> None:
         """Refuse, before any query, a configuration the walk cannot run.
 
-        epsilon has three floors.  The bisection may leave the pair
+        epsilon has two floors.  The bisection may leave the pair
         epsilon/2 apart, so epsilon must exceed twice the geometric
         tolerance, or the circles around the pair have no intersection to
-        step to.
-
-        The coordinates must resolve epsilon.  Let s be the float spacing
-        at the domain's largest coordinate magnitude, `math.ulp` of it;
-        no coordinate in the domain is spaced more coarsely.  Every point
-        the run builds (a bisection midpoint, a circle intersection, a rim
-        hit) is rounded to that grid, up to s/2 in each coordinate, about
-        s in all with the rounding of its inputs.  So bisection takes a gap
-        g to at most g/2 + s: it stalls near 2 s and never brings a pair
-        within an epsilon of about s or less, and the run spends its whole
-        budget on midpoints that round onto an endpoint.  A distance the
-        walk tests against epsilon or 2 epsilon (bracket, escape and
-        closure) is off by up to about 2 s.  epsilon above 16 s keeps that
-        within an eighth of epsilon, the margin the rim floor below keeps
-        too.  Measured on a disc in a square far from the origin: at 1 s
-        the budget ends in the bisection, at 2 s and 4 s the walk closes
-        after about 17% and 3% more walk queries than the 2.2 per epsilon
-        of boundary it takes far above the floor, and from 8 s on it takes
-        those.
+        step to; that tolerance is never below 8 times the float spacing of
+        the domain's coordinates, so this floor also keeps epsilon within
+        what they resolve (see `Domain.geom_tol`).
 
         And a rim step must resolve epsilon against the side it
         stands on.  `perimeter_circle_intersection` solves
@@ -223,16 +209,8 @@ class EdgeConfig:
         if self.epsilon <= 2.0 * domain.geom_tol:
             raise InputError(
                 f"epsilon {self.epsilon:g} must exceed twice the domain's "
-                f"geometric tolerance {domain.geom_tol:g}"
-            )
-        largest = max(
-            abs(domain.x_min), abs(domain.x_max), abs(domain.y_min), abs(domain.y_max)
-        )
-        spacing = math.ulp(largest)
-        if self.epsilon <= 16.0 * spacing:
-            raise InputError(
-                f"epsilon {self.epsilon:g} must exceed 16 times {spacing:g}, "
-                f"the float spacing of coordinates near {largest:g}"
+                f"geometric tolerance {domain.geom_tol:g}, 1e-9 of its diagonal "
+                f"but at least 8 times the float spacing of its coordinates"
             )
         side = max(domain.width, domain.height)
         rim_floor = math.sqrt(28.0 * 2.0**-53) * side

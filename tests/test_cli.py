@@ -419,7 +419,41 @@ class TestCompare:
         argv = ["compare", "rim", "--epsilons", "0.05", *rim_interior, "--out", str(out)]
         assert main(argv) == 5
         assert "full domain boundary" in capsys.readouterr().err
-        assert not (out / "table.csv").exists()
+        (row,) = read_csv(out / "table.csv")
+        assert row["edge_termination"] == "failed"
+        assert int(row["grid_queries"]) > 0
+
+    def test_failure_after_a_spent_budget_keeps_both_rows_and_exits_5(
+        self, tmp_path, rim_interior, capsys
+    ):
+        # the 80-query walk at 0.05 runs out before it goes round the rim,
+        # the walk at 0.1 goes round it in 55 queries and fails
+        out = tmp_path / "o"
+        argv = ["compare", "rim", "--epsilons", "0.05,0.1", "--max-queries", "80"]
+        assert main([*argv, *rim_interior, "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "epsilon 0.1" in err and "full domain boundary" in err
+        rows = read_csv(out / "table.csv")
+        assert [r["edge_termination"] for r in rows] == ["budget_exhausted", "failed"]
+        report = json.loads((out / "report.json").read_text())
+        assert [e["edge_termination"] for e in report] == ["budget_exhausted", "failed"]
+
+    def test_grid_without_a_boundary_node_leaves_its_score_empty(
+        self, tmp_path, capsys
+    ):
+        # rosenbrock's 5 x 5 grid at 3 keeps no node on the boundary, so it
+        # has nothing to score; the walk's 160-query budget runs out
+        out = tmp_path / "o"
+        argv = ["compare", "rosenbrock", "--epsilons", "3", "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        (row,) = read_csv(out / "table.csv")
+        assert int(row["grid_queries"]) == 25 and row["grid_asd"] == ""
+        assert float(row["edge_asd"]) > 0.0
+        assert row["edge_termination"] == "budget_exhausted"
+        assert int(row["edge_queries"]) == 160
 
     def test_empty_epsilons_rejected(self, tmp_path):
         rc = main(

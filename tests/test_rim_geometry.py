@@ -124,7 +124,9 @@ def _oracle_segment_circle_hits(ax, ay, bx, by, center, r, tol):
 
 def oracle_rim_hits(domain, center, r):
     """Every side's hits, side by side from the bottom one."""
-    tol = 1e-9 * max(1.0, domain.diagonal)
+    bounds = (domain.x_min, domain.x_max, domain.y_min, domain.y_max)
+    largest = max(abs(v) for v in bounds)
+    tol = max(1e-9 * math.hypot(domain.width, domain.height), 8.0 * math.ulp(largest))
     perimeter = 2.0 * (domain.width + domain.height)
     cs = (
         Point2(domain.x_min, domain.y_min),
@@ -234,17 +236,20 @@ def test_two_rim_hits_wrap_around_side_by_side():
     # and, by rounding, touches the left side at its end t = 1, whose
     # arclength wraps to 0: both hits come back in side order, exactly tol
     # apart, where the sorted and merged search kept only the left one
+    # (the centre lies 2 ulps left of 1.5 tol and the radius 6 ulps short
+    # of tol / 2, the widest circle about it whose roots merge)
     dom = Domain(0.0, 0.5, 0.0, 0.5)
-    center = Point2(float.fromhex("0x1.9c511dc3a41ccp-30"), 0.0)
-    r = float.fromhex("0x1.12e0be826d66dp-31")
-    assert dom.geom_tol == 1e-9
+    tol = 1e-9 * math.hypot(0.5, 0.5)
+    center = Point2(float.fromhex("0x1.238d53047ff26p-30"), 0.0)
+    r = float.fromhex("0x1.84bc6eb0aa985p-32")
+    assert dom.geom_tol == tol
     hits = perimeter_circle_intersection(dom, center, r)
-    assert hits == [((1e-9, 0.0), 1e-9), (Point2(0.0, 0.0), 0.0)]
+    assert hits == [((tol, 0.0), tol), (Point2(0.0, 0.0), 0.0)]
     assert hits == oracle_rim_hits(dom, center, r)
     assert merged_hits(hits, dom.geom_tol) == [hits[1]]
     # a hair wider, the bottom side's two roots part
-    wider = math.nextafter(r, math.inf)
-    for _ in range(40):
+    wider = r
+    for _ in range(5):
         wider = math.nextafter(wider, math.inf)
     hits = perimeter_circle_intersection(dom, center, wider)
     assert len(hits) == 3 and hits[2] == (Point2(0.0, 0.0), 0.0)
@@ -572,7 +577,15 @@ def test_rim_step_picks_the_root_on_the_walks_side():
 def test_cached_constants_match_their_formulas():
     d = Domain(-3.0, 5.0, 2.0, 4.5)
     assert d.perimeter == 2.0 * (d.width + d.height)
-    assert d.geom_tol == 1e-9 * max(1.0, d.diagonal)
+    assert d.geom_tol == 1e-9 * d.diagonal
+    # below a diagonal of 1 the tolerance keeps shrinking with the domain,
+    # where an absolute floor would hold it at 1e-9
+    small = Domain(0.25, 0.5, 0.25, 0.5)
+    assert small.geom_tol == 1e-9 * math.hypot(0.25, 0.25) < 1e-9
+    # far from the origin the float spacing bounds it from below: 8 ulps
+    # of 1e9 + 1 are about 9.5e-7, against 1e-9 of the diagonal, 2.8e-9
+    far = Domain(1e9 - 1.0, 1e9 + 1.0, 1e9 - 1.0, 1e9 + 1.0)
+    assert far.geom_tol == 8.0 * math.ulp(1e9 + 1.0) > 1e-9 * far.diagonal
     cs = d.corners()
     assert cs == (
         Point2(-3.0, 2.0),
