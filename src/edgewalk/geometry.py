@@ -9,16 +9,19 @@ arclength s in [0, P), counter-clockwise, starting at the lower-left corner
 
 A Domain is immutable, so it computes its derived constants (perimeter,
 geometric tolerance and edges) once, on first use, and keeps them; the
-walk reads them on every perimeter step.
+walk reads them on every perimeter step.  `edges` is the one table of
+the side constants: each side's line and the constants of its
+segment-circle quadratic.
 
 A walk step is one pass of float arithmetic: `circle_circle_intersection`
 for the step between two epsilon-circles, which returns the one forward
-point, and `rim_step` for a counter-clockwise step along the rim, the
-nearest hit ahead among those `perimeter_circle_intersection` finds.
-That search tries all four sides but solves the segment-circle quadratic
-only for those whose line lies within the circle's reach; it returns the
-hits as it finds them, side by side, and the walk's rim entry and
-`rim_step` each pick the one they need.
+point, and `rim_step` for a counter-clockwise step along the rim.  Both
+rim searches try the four sides but solve the segment-circle quadratic
+only for those whose line lies within the circle's reach.
+`perimeter_circle_intersection`, which the walk's rim entry reads,
+returns every hit as it finds them, side by side.  `rim_step` solves the
+same quadratics with the same float expressions in one pass and keeps
+only the nearest hit ahead, building no list of hits.
 
 Point contract: every point is a plain `(x, y)` tuple, except in a
 walk estimate's `inner` and `outer`, which stay lists of `Point2`
@@ -57,22 +60,42 @@ def midpoint(a: XY, b: XY) -> XY:
     return (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
 
 
-class Edge(NamedTuple):
-    """One side of a domain, directed counter-clockwise.
+class Edge:
+    """One side of a domain, directed counter-clockwise, and its constants.
 
-    s_start is the arclength of start.  The remaining fields are the
-    side's constants in the segment-circle quadratic: the direction
-    (dx, dy) from start to the side's other end, a = dx^2 + dy^2, and the
-    tolerance t_tol in units of the segment parameter.
+    start is the side's first corner and s_start its arclength.  The
+    side's line is the points whose coordinate axis (0 for x, 1 for y)
+    equals bound.  The rest are the constants of the segment-circle
+    quadratic a t^2 + b t + c = 0 in the segment parameter t: the
+    direction (dx, dy) from start to the side's other end, two_a = 2a and
+    four_a = 4a for a = dx^2 + dy^2, the domain's tolerance tol in units
+    of t, t_tol, and the range [t_lo, t_hi] = [-t_tol, 1 + t_tol] of the
+    roots that count as hits.  A plain class with slots, read by
+    attribute: a rim step reads a side's constants faster that way than
+    it unpacks a NamedTuple, and defining the class takes microseconds at
+    import, where a dataclass takes about a millisecond.  The fields are
+    set once here and only read.
     """
 
-    start: XY
-    length: float
-    s_start: float
-    dx: float
-    dy: float
-    a: float
-    t_tol: float
+    __slots__ = (
+        "start", "length", "s_start", "axis", "bound", "dx", "dy",
+        "two_a", "four_a", "t_tol", "t_lo", "t_hi",
+    )
+
+    def __init__(self, start: XY, end: XY, s_start: float, tol: float) -> None:
+        self.start = start
+        self.length = distance(start, end)
+        self.s_start = s_start
+        self.dx = dx = end[0] - start[0]
+        self.dy = dy = end[1] - start[1]
+        # the bottom and top sides lie on lines of constant y
+        self.axis = axis = 1 if dy == 0.0 else 0
+        self.bound = start[axis]
+        a = dx * dx + dy * dy
+        self.two_a, self.four_a = 2.0 * a, 4.0 * a
+        seg_len = math.sqrt(a)
+        self.t_tol = t_tol = tol / seg_len if seg_len > 0.0 else 0.0
+        self.t_lo, self.t_hi = -t_tol, 1.0 + t_tol
 
 
 @dataclass(frozen=True)
@@ -140,22 +163,17 @@ class Domain:
 
     @cached_property
     def edges(self) -> tuple[Edge, Edge, Edge, Edge]:
-        """The four sides counter-clockwise, the bottom one first."""
+        """The four sides counter-clockwise, the bottom one first.
+
+        The one table of the side constants the rim searches read.
+        """
         cs = self.corners()
-        tol = self.geom_tol
         edges = []
         s_start = 0.0
         for i in range(4):
-            a, b = cs[i], cs[(i + 1) % 4]
-            length = distance(a, b)
-            dx, dy = b[0] - a[0], b[1] - a[1]
-            sq_len = dx * dx + dy * dy
-            seg_len = math.sqrt(sq_len)
-            t_tol = tol / seg_len if seg_len > 0.0 else 0.0
-            edges.append(
-                Edge(a, length, s_start, dx, dy, sq_len, t_tol)
-            )
-            s_start += length
+            edge = Edge(cs[i], cs[(i + 1) % 4], s_start, self.geom_tol)
+            edges.append(edge)
+            s_start += edge.length
         return tuple(edges)
 
     def contains(self, p: XY) -> bool:
@@ -243,32 +261,23 @@ def perimeter_circle_intersection(
     reach = r + 2.0 * tol
     cx, cy = center
     rr = r * r
-    # the sides whose line lies within reach, in the order of domain.edges;
-    # tested on the domain's bounds, the constant coordinates of those lines
-    bottom, right, top, left = domain.edges
-    near = []
-    if abs(cy - domain.y_min) <= reach:
-        near.append(bottom)
-    if abs(cx - domain.x_max) <= reach:
-        near.append(right)
-    if abs(cy - domain.y_max) <= reach:
-        near.append(top)
-    if abs(cx - domain.x_min) <= reach:
-        near.append(left)
     hits: list[tuple[XY, float]] = []
-    for (ax, ay), edge_len, s_edge, dx, dy, a, t_tol in near:
+    for e in domain.edges:
+        if abs(center[e.axis] - e.bound) > reach:
+            continue
+        (ax, ay), dx, dy, t_tol = e.start, e.dx, e.dy, e.t_tol
         # the parameters t0 <= t1 where the side's line start + t (dx, dy)
         # crosses the circle: a t^2 + b t + c = 0
         fx, fy = ax - cx, ay - cy
         b = 2.0 * (fx * dx + fy * dy)
         c = fx * fx + fy * fy - rr
-        disc = b * b - 4.0 * a * c
+        disc = b * b - e.four_a * c
         if disc < 0.0:
             continue
         sq = math.sqrt(disc)
-        t0 = (-b - sq) / (2.0 * a)
-        t1 = (-b + sq) / (2.0 * a)
-        t_lo, t_hi = -t_tol, 1.0 + t_tol
+        t0 = (-b - sq) / e.two_a
+        t1 = (-b + sq) / e.two_a
+        t_lo, t_hi, edge_len, s_edge = e.t_lo, e.t_hi, e.length, e.s_start
         if t_lo <= t0 <= t_hi:
             t0 = 0.0 if t0 < 0.0 else 1.0 if t0 > 1.0 else t0
             hits.append(
@@ -292,19 +301,51 @@ def rim_step(
     """The perimeter walk's next rim point: (point, arclength, step).
 
     center is a rim point at arclength s, and the walk moves
-    counter-clockwise.  Of the hits `perimeter_circle_intersection` finds,
-    returns the nearest one more than tol ahead, step being the arclength
-    advance from s wrapped into (-P/2, P/2]; equal steps go to the lesser
-    (arclength, point).  Returns None when no hit lies ahead.
+    counter-clockwise.  Of the hits `perimeter_circle_intersection`
+    finds, returns the nearest one more than tol ahead, step being the
+    arclength advance from s wrapped into (-P/2, P/2]; equal steps go to
+    the lesser (arclength, point).  Returns None when no hit lies ahead.
+    It solves the same quadratics with the same float expressions, in one
+    pass over the sides within reach, and keeps only the best hit so far.
     """
     tol = domain.geom_tol
     period = domain.perimeter
+    half = 0.5 * period
+    reach = r + 2.0 * tol
+    cx, cy = center
+    rr = r * r
     p_best = s_best = None
     d_best = math.inf
-    for p, s_hit in perimeter_circle_intersection(domain, center, r):
-        d = (s_hit - s) % period
-        if d > 0.5 * period:
-            d -= period
-        if tol < d < d_best or (d == d_best and (s_hit, p) < (s_best, p_best)):
-            p_best, s_best, d_best = p, s_hit, d
+    for e in domain.edges:
+        if abs(center[e.axis] - e.bound) > reach:
+            continue
+        ax, ay = e.start
+        dx, dy = e.dx, e.dy
+        fx, fy = ax - cx, ay - cy
+        b = 2.0 * (fx * dx + fy * dy)
+        c = fx * fx + fy * fy - rr
+        disc = b * b - e.four_a * c
+        if disc < 0.0:
+            continue
+        sq = math.sqrt(disc)
+        two_a, t_lo, t_hi = e.two_a, e.t_lo, e.t_hi
+        t_first = None
+        for t in ((-b - sq) / two_a, (-b + sq) / two_a):
+            if not t_lo <= t <= t_hi:
+                continue
+            t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+            # a second root within t_tol of the first is the same hit
+            if t_first is not None and abs(t_first - t) <= e.t_tol:
+                continue
+            t_first = t
+            s_hit = (e.s_start + t * e.length) % period
+            d = (s_hit - s) % period
+            if d > half:
+                d -= period
+            if tol < d < d_best:
+                p_best, s_best, d_best = (ax + t * dx, ay + t * dy), s_hit, d
+            elif d == d_best:
+                p = (ax + t * dx, ay + t * dy)
+                if (s_hit, p) < (s_best, p_best):
+                    p_best, s_best = p, s_hit
     return None if p_best is None else (p_best, s_best, d_best)

@@ -17,15 +17,17 @@ do, until it finds an exterior point, then goes back to decision steps.
 An episode enters the rim at a hit of the search of all four sides
 (`perimeter_circle_intersection`), and each later rim step is one call
 of `rim_step`: the nearest hit of that search more than tol ahead,
-counter-clockwise, on one side or round a corner alike.  The search
-solves only the sides within reach of the circle, one side away from the
-corners.  The walk's state is small: the mode, the rim
-arclength, the arclength the current episode has covered, whether the
-walk has escaped its start, and the two closure targets of a walk that
-starts on the rim (below).  Every test point of either mode is yielded
-at one site, and the closure tests run there after a decision step or a
-rim exit; an interior rim point runs only the test of escape from the
-start pair, so that a lap that is one long rim episode escapes too.
+counter-clockwise, on one side or round a corner alike, found in one
+pass that keeps only the best hit so far.  Both solve only the sides
+within reach of the circle, one side away from the corners, from the
+side constants the domain keeps in `Domain.edges`.  The walk's state is
+small: the mode, the rim arclength, the arclength the current episode
+has covered, whether the walk has escaped its start, and the two closure
+targets of a walk that starts on the rim (below).  Every test point of
+either mode is yielded at one site, and the closure tests run there
+after a decision step or a rim exit; an interior rim point runs only the
+test of escape from the start pair, so that a lap that is one long rim
+episode escapes too.
 
 Closure.  A walk closes when it returns within epsilon of its start pair
 after first moving at least 2 epsilon away.  A start pair bisected on
@@ -190,7 +192,8 @@ class EdgeConfig:
         what they resolve (see `Domain.geom_tol`).
 
         And a rim step must resolve epsilon against the side it
-        stands on.  `perimeter_circle_intersection` solves
+        stands on.  `rim_step`, like the rim entry's
+        `perimeter_circle_intersection`, solves
         a t^2 + b t + c = 0 for a side of length L, a = L^2, around a
         centre at distance f, at most
         about L, from the side's start: the discriminant b^2 - 4ac, which

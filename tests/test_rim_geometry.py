@@ -12,10 +12,11 @@ exactly equal results and raise the same errors.
 The tests also keep the contracts the walk used to read: both circle
 crossings, picked by `select_forward`, and the rim hits sorted by
 arclength with the hits of two sides at a corner merged.  `rim_step`,
-the perimeter walk's step, must return the very hit, bit for bit, that
-the merged search plus the nearest-ahead rule picks, and the walk's rim
-entry must pick from the hits as found what it picked from the merged
-ones.
+the perimeter walk's one-pass step, must return the very hit, bit for
+bit, that the merged search plus the nearest-ahead rule picks from a rim
+point at its own arclength, and from any centre and arclength the one
+that rule picks of the unmerged hits; the walk's rim entry must pick
+from the hits as found what it picked from the merged ones.
 """
 
 import math
@@ -434,17 +435,20 @@ def test_forward_point_is_the_first_of_two(pair):
             circle_circle_intersection(c1, c2, r, tol)
 
 
-def nearest_ahead(dom, center, s_cur, r):
-    """The perimeter walk's step by the merged search: (point, s, step) or None.
+def nearest_ahead(dom, center, s_cur, r, merge=True):
+    """The perimeter walk's step by the full search: (point, s, step) or None.
 
-    Every hit of the circle on the rim, sorted and merged, and of those
-    more than tol ahead, counter-clockwise, the one with the least
-    (step, s, point): the step the walk took before `rim_step`.
+    Every hit of the circle on the rim, sorted and merged unless merge is
+    false, and of those more than tol ahead, counter-clockwise, the one
+    with the least (step, s, point): the step the walk took before
+    `rim_step`, and with merge false `rim_step`'s own contract.
     """
     best = None
     period = dom.perimeter
     hits = perimeter_circle_intersection(dom, center, r)
-    for p, s in merged_hits(hits, dom.geom_tol):
+    if merge:
+        hits = merged_hits(hits, dom.geom_tol)
+    for p, s in hits:
         # the step from s_cur to s, wrapped into (-P/2, P/2]
         d = (s - s_cur) % period
         if d > 0.5 * period:
@@ -489,7 +493,9 @@ def rim_walk_steps(draw):
         | st.floats(-4.0, -0.5).map(lambda k: short * 10.0**k)
     )
     assume(2.0 * tol < eps < short)
-    (ax, ay), length, s_edge, dx, dy, _, _ = draw(st.sampled_from(dom.edges))
+    edge = draw(st.sampled_from(dom.edges))
+    (ax, ay), dx, dy = edge.start, edge.dx, edge.dy
+    length, s_edge = edge.length, edge.s_start
     along, step = (ax, dx) if dx else (ay, dy)
     reach = eps + 2.0 * tol
     kind = draw(st.sampled_from(["anywhere", "anywhere", "corner", "reach"]))
@@ -519,6 +525,32 @@ def test_rim_step_equals_full_search(step):
     # None only where rounding swamps a radius below the rim floor
     # EdgeConfig.validate_for keeps
     assert type(fast[0]) is tuple if fast else eps < 1e-6 * dom.diagonal
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_rim_step_equals_full_search_from_any_centre(data):
+    # a centre inside, on the rim, at a corner or outside, with an
+    # arclength that need not be its own: rim_step keeps the search's
+    # reach test and tie rule, not only what a rim point needs
+    dom = data.draw(domains())
+    center = data.draw(centres(dom))
+    s = data.draw(st.floats(0.0, dom.perimeter, exclude_max=True))
+    r = dom.diagonal * 10.0 ** data.draw(st.floats(-4.0, 0.5))
+    fast = rim_step(dom, center, s, r)
+    assert _bits(fast) == _bits(nearest_ahead(dom, center, s, r, merge=False))
+
+
+def test_rim_step_breaks_a_tie_at_a_corner_on_the_unmerged_hits():
+    # away from its own arclength a centre can meet two hits at one corner,
+    # tol apart and equally far ahead: the merged search keeps the first
+    # by arclength, rim_step the lesser (s, point), so off the rim the
+    # reference is the unmerged one
+    dom = Domain(0.0, 1.0, 2.28648608079366e-125, 1.0)
+    center, r = (1.0, 1.0), dom.diagonal
+    assert rim_step(dom, center, 2.0, r) == ((0.0, 0.0), 0.0, 2.0)
+    assert rim_step(dom, center, 2.0, r) == nearest_ahead(dom, center, 2.0, r, merge=False)
+    assert nearest_ahead(dom, center, 2.0, r) == ((0.0, dom.y_min), 0.0, 2.0)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -570,6 +602,16 @@ def test_rim_step_picks_the_root_on_the_walks_side():
     )
     for r in (eps, math.nextafter(eps, 0.0)):
         assert rim_step(dom, (9.5, 0.0), 9.5, r) == nearest_ahead(dom, (9.5, 0.0), 9.5, r)
+    # epsilon within 2 tol of a thin domain's short side puts the opposite
+    # side in reach too: its quadratic is solved, has no root, and the
+    # step stays on the centre's side
+    thin = Domain(0.0, 10.0, 0.0, 0.5)
+    eps = 0.5 - thin.geom_tol
+    assert thin.height <= eps + 2.0 * thin.geom_tol
+    step = rim_step(thin, (4.0, 0.0), 4.0, eps)
+    assert step == nearest_ahead(thin, (4.0, 0.0), 4.0, eps)
+    assert step[0] == (step[1], 0.0) and step[1] == 4.0 + step[2]
+    assert step[2] == pytest.approx(eps, rel=1e-15)
     # a circle inside the rectangle has no hit ahead
     assert rim_step(dom, (5.0, 3.5), 0.0, 0.5) is None
 
@@ -597,6 +639,13 @@ def test_cached_constants_match_their_formulas():
     assert [(e.dx, e.dy) for e in d.edges] == [(8.0, 0.0), (0.0, 2.5), (-8.0, 0.0), (0.0, -2.5)]
     assert [e.length for e in d.edges] == [8.0, 2.5, 8.0, 2.5]
     assert [e.s_start for e in d.edges] == [0.0, 8.0, 10.5, 18.5]
+    # each side's line: y = y_min, x = x_max, y = y_max, x = x_min
+    assert [(e.axis, e.bound) for e in d.edges] == [(1, 2.0), (0, 5.0), (1, 4.5), (0, -3.0)]
+    for e in d.edges:
+        a = e.dx * e.dx + e.dy * e.dy
+        assert (e.two_a, e.four_a) == (2.0 * a, 4.0 * a)
+        assert e.t_tol == d.geom_tol / math.sqrt(a)
+        assert (e.t_lo, e.t_hi) == (-e.t_tol, 1.0 + e.t_tol)
 
 
 def test_cached_domain_stays_frozen_with_field_equality():
@@ -607,6 +656,8 @@ def test_cached_domain_stays_frozen_with_field_equality():
         d.x_min = 0.0
     with pytest.raises(FrozenInstanceError):
         d.perimeter = 1.0
+    with pytest.raises(FrozenInstanceError):
+        d.edges = ()
     fresh = Domain(-1.0, 2.0, 0.5, 4.0)
     assert d == fresh
     assert hash(d) == hash(fresh) == h
